@@ -11,6 +11,8 @@ retired from assignment and the census.
 from __future__ import annotations
 
 import json
+from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -22,6 +24,8 @@ from .records import Batch, LogRecord
 from .representatives import Representative, representative_by_centroid
 
 DEFAULT_RESERVOIR_CAP = 512
+# Distances this close to the minimum are re-scored one by one (nearest_cluster).
+_TIE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,21 +47,59 @@ class HyperParams:
             raise ValueError("staleness must be positive")
 
 
-@dataclass
 class Cluster:
-    id: int
-    cen: np.ndarray
-    len: int
-    created_at: datetime
-    last_updated: datetime
-    active: bool = True
-    # (record id, vector), most recent reservoir_cap members, oldest first.
-    reservoir: list[tuple[str, np.ndarray]] = field(default_factory=list)
+    """One cluster of a ``ClusterState``.
 
-    def _remember(self, record_id: str, vec: np.ndarray, cap: int) -> None:
-        self.reservoir.append((record_id, vec))
-        if len(self.reservoir) > cap:
-            self.reservoir.pop(0)
+    While the cluster is active its centroid is a row of the state's centroid
+    array, so there is one copy of it; ``cen`` reads a copy of that row and
+    assigning ``cen`` writes the row. Retiring the cluster moves the centroid
+    out of the array into the cluster itself.
+    """
+
+    def __init__(
+        self,
+        id: int,
+        cen: np.ndarray,
+        len: int,
+        created_at: datetime,
+        last_updated: datetime,
+        reservoir: Iterable[tuple[str, np.ndarray]] = (),
+        reservoir_cap: int = DEFAULT_RESERVOIR_CAP,
+    ):
+        self.id = id
+        self.len = len
+        self.created_at = created_at
+        self.last_updated = last_updated
+        # (record id, vector), most recent reservoir_cap members, oldest first.
+        self.reservoir: deque[tuple[str, np.ndarray]] = deque(reservoir, maxlen=reservoir_cap)
+        self._state: ClusterState | None = None
+        self._row: int | None = None  # row in the state's centroid array while active
+        self._cen: np.ndarray | None = np.array(cen, dtype=float)  # only while retired
+
+    @property
+    def cen(self) -> np.ndarray:
+        if self._row is None:
+            return self._cen
+        return self._state._cen[self._row].copy()
+
+    @cen.setter
+    def cen(self, value: np.ndarray) -> None:
+        if self._row is None:
+            self._cen = np.array(value, dtype=float)
+        else:
+            self._state._write_row(self._row, value)
+            self._state._stale_reps.add(self.id)
+
+    @property
+    def active(self) -> bool:
+        return self._row is not None
+
+    @active.setter
+    def active(self, value: bool) -> None:
+        if value and self._row is None:
+            raise ValueError(f"cluster {self.id} is retired; a returning defect opens a new one")
+        if not value and self._row is not None:
+            self._state._detach([self])
 
 
 @dataclass(frozen=True)
@@ -76,40 +118,103 @@ class BatchReport:
     nr_clust: int  # active clusters at batch end
     reps: dict[int, Representative]
     expired: list[int]
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return 1.0 - float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+    sizes: dict[int, int] = field(default_factory=dict)  # len of each reported cluster
 
 
 class ClusterState:
+    """Every cluster ever opened, plus the centroids of the active ones.
+
+    Cluster ids are dense: ``clusters[i].id == i``. The active centroids are
+    the first ``len(self._rows)`` rows of one array, in id order, with their
+    norms cached, so the nearest active cluster is one matrix-vector product
+    and, among equally near rows, the first is the oldest id. The array
+    doubles its capacity when it fills; expiry compacts it.
+    """
+
+    _INITIAL_CAPACITY = 16
+
     def __init__(self, params: HyperParams | None = None):
         self.params = params or HyperParams()
         self.clusters: list[Cluster] = []
-        self.next_id = 0
+        self._rows: list[Cluster] = []  # active clusters, row order = id order
+        self._cen = np.empty((0, 0))
+        self._norm = np.empty(0)
+        # Representatives of the last batch, the picker that chose them, and
+        # the ids whose centroid or reservoir changed since.
+        self._reps: dict[int, Representative] = {}
+        self._rep_pick: Callable | None = None
+        self._stale_reps: set[int] = set()
+
+    @property
+    def next_id(self) -> int:
+        """The id the next opened cluster gets; ids are dense."""
+        return len(self.clusters)
 
     def active_clusters(self) -> list[Cluster]:
-        return [c for c in self.clusters if c.active]
+        return list(self._rows)
 
     def get(self, cluster_id: int) -> Cluster:
-        for c in self.clusters:
-            if c.id == cluster_id:
-                return c
+        if 0 <= cluster_id < len(self.clusters):
+            return self.clusters[cluster_id]
         raise KeyError(cluster_id)
+
+    # -- the centroid array --------------------------------------------------
+
+    def _write_row(self, row: int, value: np.ndarray) -> None:
+        self._cen[row] = value
+        self._norm[row] = np.linalg.norm(self._cen[row])
+
+    def _attach(self, cluster: Cluster) -> None:
+        """Append the row of a cluster newer than every active one."""
+        cen = cluster._cen
+        n = len(self._rows)
+        if n == len(self._norm) or (n == 0 and self._cen.shape[1] != cen.shape[0]):
+            capacity = max(2 * n, self._INITIAL_CAPACITY)
+            grown, norms = np.empty((capacity, cen.shape[0])), np.empty(capacity)
+            if n:
+                grown[:n], norms[:n] = self._cen[:n], self._norm[:n]
+            self._cen, self._norm = grown, norms
+        self._rows.append(cluster)
+        cluster._state, cluster._row, cluster._cen = self, n, None
+        self._write_row(n, cen)
+
+    def _detach(self, retired: list[Cluster]) -> None:
+        """Move retired clusters' centroids out of the array and compact it."""
+        n = len(self._rows)
+        keep = np.ones(n, dtype=bool)
+        for c in retired:
+            keep[c._row] = False
+            c._cen = self._cen[c._row].copy()
+            c._row = None
+        self._rows = [c for c in self._rows if c._row is not None]
+        m = len(self._rows)
+        self._cen[:m] = self._cen[:n][keep]
+        self._norm[:m] = self._norm[:n][keep]
+        for row, c in enumerate(self._rows):
+            c._row = row
 
     def nearest_cluster(self, p: np.ndarray) -> tuple[int, float]:
         """Nearest active cluster by cosine distance; oldest id wins ties."""
-        best_id, best_dist = None, np.inf
-        for c in self.clusters:
-            if not c.active:
-                continue
-            dist = cosine_distance(c.cen, p)
-            if dist < best_dist:
-                best_dist = dist
-                best_id = c.id
-        if best_id is None:
+        n = len(self._rows)
+        if n == 0:
             raise NoActiveClusters("no active clusters")
-        return best_id, best_dist
+        p_norm = np.linalg.norm(p)
+        dist = 1.0 - (self._cen[:n] @ p) / (self._norm[:n] * p_norm)
+        best = np.fmin.reduce(dist)  # skips NaN, from a zero centroid
+        if np.isnan(best):
+            raise NoActiveClusters("no active cluster has a defined distance")
+        # The matrix product may round equal rows differently, so the rows
+        # within a hair of the minimum are scored again one by one, in id
+        # order, exactly as a plain loop over the clusters would.
+        near = np.flatnonzero(dist <= best + _TIE_SLACK)
+        best_row, best_dist = -1, np.inf
+        for row in near.tolist():
+            d = 1.0 - float(np.dot(self._cen[row], p) / (self._norm[row] * p_norm))
+            if d < best_dist:
+                best_row, best_dist = row, d
+        return self._rows[best_row].id, best_dist
+
+    # -- assignment ----------------------------------------------------------
 
     def ingest_point(self, record: LogRecord, p: np.ndarray) -> AssignmentOutcome:
         params = self.params
@@ -119,43 +224,55 @@ class ClusterState:
             cid, dist = None, np.inf
 
         if cid is not None and dist <= params.theta:
-            c = self.get(cid)
+            c = self.clusters[cid]
+            row = self._cen[c._row]
             if c.len >= params.gamma:
-                c.cen = (1.0 - params.alpha) * c.cen + params.alpha * p
+                row *= 1.0 - params.alpha
+                row += params.alpha * p
             else:
-                c.cen = (c.len / (c.len + 1)) * c.cen + (1.0 / (c.len + 1)) * p
+                row *= c.len / (c.len + 1)
+                row += (1.0 / (c.len + 1)) * p
+            self._norm[c._row] = np.linalg.norm(row)
             c.len += 1
             c.last_updated = record.timestamp
-            c._remember(record.id, p, params.reservoir_cap)
-            return AssignmentOutcome(record.id, c.id, False, dist)
+            c.reservoir.append((record.id, p))
+            self._stale_reps.add(cid)
+            return AssignmentOutcome(record.id, cid, False, dist)
 
         c = Cluster(
             id=self.next_id,
-            cen=np.array(p, dtype=float),
+            cen=p,
             len=1,
             created_at=record.timestamp,
             last_updated=record.timestamp,
+            reservoir=[(record.id, p)],
+            reservoir_cap=params.reservoir_cap,
         )
-        c._remember(record.id, p, params.reservoir_cap)
         self.clusters.append(c)
-        self.next_id += 1
+        self._attach(c)
         return AssignmentOutcome(record.id, c.id, True, dist)
 
     def expire_stale(self, now: datetime) -> list[int]:
         """Retire active clusters idle longer than the staleness window."""
-        expired = []
         cutoff = now - self.params.staleness
-        for c in self.clusters:
-            if c.active and c.last_updated < cutoff:
-                c.active = False
-                expired.append(c.id)
-        return expired
+        retired = [c for c in self._rows if c.last_updated < cutoff]
+        if retired:
+            self._detach(retired)
+        return [c.id for c in retired]
 
-    def process_batch(self, batch: Batch, vectors: list[np.ndarray]) -> BatchReport:
+    def process_batch(
+        self,
+        batch: Batch,
+        vectors: list[np.ndarray],
+        pick: Callable[[Cluster], Representative] | None = None,
+    ) -> BatchReport:
         """Expire stale clusters, ingest the batch in order, report the census.
 
         ``vectors`` aligns one-to-one with ``batch.records``. Expiry runs only
         at the batch boundary so in-batch behavior is clock-independent.
+        ``pick`` chooses a cluster's representative, by default the reservoir
+        member nearest the centroid. A cluster whose centroid and reservoir
+        did not change since the last batch keeps its representative.
         """
         expired = self.expire_stale(batch.start)
         assignments = []
@@ -164,8 +281,17 @@ class ClusterState:
             outcome = self.ingest_point(record, vec)
             assignments.append(outcome)
             points.append((vec, outcome.cluster_id))
-        active = self.active_clusters()
-        reps = {c.id: representative_by_centroid(c) for c in active if c.reservoir}
+        active = self._rows
+        if pick is None:
+            pick = representative_by_centroid
+        previous = self._reps if pick is self._rep_pick else {}
+        reps = {}
+        for c in active:
+            if c.reservoir:
+                rep = None if c.id in self._stale_reps else previous.get(c.id)
+                reps[c.id] = rep if rep is not None else pick(c)
+        self._reps, self._rep_pick = reps, pick
+        self._stale_reps.clear()
         return BatchReport(
             index=batch.index,
             assignments=assignments,
@@ -173,6 +299,7 @@ class ClusterState:
             nr_clust=len(active),
             reps=reps,
             expired=expired,
+            sizes={cid: self.clusters[cid].len for cid in reps},
         )
 
     # -- persistence ---------------------------------------------------------
@@ -190,14 +317,14 @@ class ClusterState:
             "clusters": [
                 {
                     "id": c.id,
-                    "cen": [float(x) for x in c.cen],
+                    "cen": c.cen.tolist(),
                     "len": c.len,
                     "created_at": c.created_at.isoformat(),
                     "last_updated": c.last_updated.isoformat(),
                     "active": c.active,
                     "reservoir_ids": [rid for rid, _ in c.reservoir],
                     "reservoir_vectors": [
-                        [float(x) for x in vec] for _, vec in c.reservoir
+                        np.asarray(vec, dtype=float).tolist() for _, vec in c.reservoir
                     ],
                 }
                 for c in self.clusters
@@ -216,8 +343,9 @@ class ClusterState:
                 reservoir_cap=p.get("reservoir_cap", DEFAULT_RESERVOIR_CAP),
             )
         )
-        state.next_id = doc["next_id"]
         for cd in doc["clusters"]:
+            if cd["id"] != len(state.clusters):
+                raise ValueError(f"snapshot cluster ids are not 0, 1, 2, ...: found {cd['id']}")
             vectors = cd.get("reservoir_vectors")
             if vectors is None:
                 vectors = [[] for _ in cd["reservoir_ids"]]
@@ -227,17 +355,28 @@ class ClusterState:
                 len=cd["len"],
                 created_at=datetime.fromisoformat(cd["created_at"]).astimezone(timezone.utc),
                 last_updated=datetime.fromisoformat(cd["last_updated"]).astimezone(timezone.utc),
-                active=cd["active"],
                 reservoir=[
                     (rid, np.array(vec, dtype=float))
                     for rid, vec in zip(cd["reservoir_ids"], vectors)
                 ],
+                reservoir_cap=state.params.reservoir_cap,
             )
             state.clusters.append(cluster)
+            cluster._state = state
+            if cd["active"]:
+                state._attach(cluster)
+        if doc["next_id"] != len(state.clusters):
+            raise ValueError(
+                f"snapshot next_id {doc['next_id']} does not follow its "
+                f"{len(state.clusters)} clusters"
+            )
         return state
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_snapshot(), indent=1), encoding="utf-8")
+        # Compact: with ``indent`` the json module falls back to its pure-Python encoder.
+        Path(path).write_text(
+            json.dumps(self.to_snapshot(), separators=(",", ":")), encoding="utf-8"
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterState":

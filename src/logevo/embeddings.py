@@ -3,6 +3,10 @@
 Neural models are never run in-process. Pretrained word vectors and
 sentence embeddings arrive as files; the hashing provider is a hermetic,
 deterministic substitute for tests and smoke runs.
+
+Every provider returns unit-norm vectors, so cosine similarity downstream is
+a dot product. That includes the fallback ``e0 = (1, 0, ..., 0)``, returned
+for a sequence with no tokens, no in-vocabulary tokens or a zero sum.
 """
 
 from __future__ import annotations

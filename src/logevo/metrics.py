@@ -11,6 +11,7 @@ from .errors import AllUndefined, NoSharedClusters, WeightError
 from .representatives import Representative
 
 UNDEFINED = None  # silhouette sentinel for degenerate batches
+_SILHOUETTE_BLOCK = 1024  # rows of the n x k product held at once
 
 
 @dataclass(frozen=True)
@@ -31,39 +32,44 @@ class EvolutionScore:
     lce: float
 
 
-def _cosine_dist_matrix(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1)
-    sims = (vectors @ vectors.T) / np.outer(norms, norms)
-    return 1.0 - sims
-
-
 def silhouette_batch(points: list[tuple[np.ndarray, int]]) -> float | None:
     """Mean silhouette under cosine distance; None when degenerate.
 
     Points in singleton clusters score 0, matching the usual convention.
+    With unit rows x_i and S_L the sum of cluster L's members, the mean
+    distance from x_i to another cluster L' is 1 - x_i.S_L'/|L'| and to the
+    rest of its own cluster L it is (|L| - x_i.S_L)/(|L| - 1), so the work is
+    one n x k product instead of an n x n distance matrix.
     """
-    if len(points) < 2:
-        return UNDEFINED
-    labels = np.array([cid for _, cid in points])
-    if len(set(labels.tolist())) < 2:
-        return UNDEFINED
-    vectors = np.array([v for v, _ in points], dtype=float)
-    dist = _cosine_dist_matrix(vectors)
     n = len(points)
-    unique = sorted(set(labels.tolist()))
+    if n < 2:
+        return UNDEFINED
+    column: dict[int, int] = {}
+    labels = np.fromiter(
+        (column.setdefault(cid, len(column)) for _, cid in points), dtype=np.intp, count=n
+    )
+    k = len(column)
+    if k < 2:
+        return UNDEFINED
+    X = np.array([v for v, _ in points], dtype=float)
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    sums = np.zeros((k, X.shape[1]))
+    np.add.at(sums, labels, X)
+    counts = np.bincount(labels, minlength=k).astype(float)
+    own_count = counts[labels]
     scores = np.zeros(n)
-    for i in range(n):
-        own = labels == labels[i]
-        own_count = int(own.sum())
-        if own_count == 1:
-            scores[i] = 0.0
-            continue
-        a = dist[i][own].sum() / (own_count - 1)
-        b = min(
-            dist[i][labels == lab].mean() for lab in unique if lab != labels[i]
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    for lo in range(0, n, _SILHOUETTE_BLOCK):
+        rows = slice(lo, lo + _SILHOUETTE_BLOCK)
+        own, size = labels[rows], own_count[rows]
+        at = np.arange(len(own))
+        dots = X[rows] @ sums.T  # block x k
+        mean_dist = 1.0 - dots / counts
+        mean_dist[at, own] = np.inf
+        b = mean_dist.min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (size - dots[at, own]) / (size - 1.0)  # NaN for singletons
+            denom = np.maximum(a, b)
+            scores[rows] = np.where((size == 1.0) | (denom == 0.0), 0.0, (b - a) / denom)
     return float(scores.mean())
 
 

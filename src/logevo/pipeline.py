@@ -7,6 +7,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from datetime import timedelta
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -221,18 +222,13 @@ def _online_process(
     state: ClusterState,
     texts: dict[str, str],
 ) -> list[BatchReport]:
-    reports = []
-    use_lev = config.representative.upper() == "LEVENSHTEIN"
-    for batch, vecs in zip(batches, vectors_by_batch):
-        report = state.process_batch(batch, vecs)
-        if use_lev:
-            report.reps = {
-                c.id: representative_by_levenshtein(c, texts)
-                for c in state.active_clusters()
-                if c.reservoir
-            }
-        reports.append(report)
-    return reports
+    pick = None  # the reservoir member nearest the centroid
+    if config.representative.upper() == "LEVENSHTEIN":
+        pick = partial(representative_by_levenshtein, texts=texts)
+    return [
+        state.process_batch(batch, vecs, pick)
+        for batch, vecs in zip(batches, vectors_by_batch)
+    ]
 
 
 def compute_scores(
@@ -306,16 +302,9 @@ def _write_outputs(
                         {
                             "batch_index": report.index,
                             "id": cid,
-                            "len": next(
-                                (
-                                    c.len
-                                    for c in (state.clusters if state else [])
-                                    if c.id == cid
-                                ),
-                                None,
-                            ),
+                            "len": report.sizes.get(cid),
                             "representative": texts.get(rep.record_id, rep.text),
-                            "centroid_norm": float(np.linalg.norm(rep.vector)),
+                            "score": rep.score,
                         },
                         sort_keys=True,
                     )

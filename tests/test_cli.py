@@ -7,7 +7,7 @@ import pytest
 from logevo.cli import main
 from logevo.pipeline import RunConfig, run, sweep
 
-from helpers import make_loghub_sample
+from helpers import make_evolution_jsonl, make_loghub_sample
 
 
 @pytest.fixture
@@ -105,6 +105,32 @@ def test_levenshtein_mode(workspace):
     config.representative = "LEVENSHTEIN"
     report = run(config)
     assert 0.0 <= report["score"]["lce"] <= 1.0
+
+
+def test_clusters_jsonl_len_is_size_as_of_batch(tmp_path):
+    # three families, each fed every day for ten daily batches
+    input_path = tmp_path / "events.jsonl"
+    with input_path.open("w") as fh:
+        for r in make_evolution_jsonl(days=10, per_kind=4, seed=5):
+            row = {"id": r.id, "timestamp": r.timestamp.isoformat(), "level": "ERROR",
+                   "text": r.raw_text}
+            fh.write(json.dumps(row) + "\n")
+    out_dir = tmp_path / "out"
+    run(RunConfig(input=str(input_path), format="jsonl", params={"theta": 0.3},
+                  output_dir=str(out_dir)))
+    lines = [json.loads(line) for line in (out_dir / "clusters.jsonl").open()]
+    sizes: dict[int, list[int]] = {}
+    for row in lines:
+        sizes.setdefault(row["id"], []).append(row["len"])
+        assert set(row) == {"batch_index", "id", "len", "representative", "score"}
+        assert -1.0 <= row["score"] <= 1.0 + 1e-12
+    final = {c["id"]: c["len"] for c in json.loads((out_dir / "state.json").read_text())["clusters"]}
+    fed_daily = [cid for cid, seq in sizes.items() if len(seq) == 10]
+    assert len(fed_daily) == 3
+    for cid in fed_daily:
+        seq = sizes[cid]
+        assert all(a < b for a, b in zip(seq, seq[1:])), seq
+        assert seq[-1] == final[cid]
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 """Online clustering engine."""
 
+import json
 from datetime import timedelta
 
 import numpy as np
@@ -40,6 +41,69 @@ class TestNearest:
         state.get(0).active = False
         cid, _ = state.nearest_cluster(np.array([1.0, 0.0]))
         assert cid == 1
+
+
+def loop_nearest(state, p):
+    """The nearest active cluster by a plain loop in id order, first minimum wins."""
+    best_id, best_dist = None, np.inf
+    for c in state.clusters:
+        if c.active:
+            cen = c.cen
+            dist = 1.0 - float(np.dot(cen, p) / (np.linalg.norm(cen) * np.linalg.norm(p)))
+            if dist < best_dist:
+                best_id, best_dist = c.id, dist
+    return best_id, best_dist
+
+
+class TestNearestMatchesLoop:
+    @pytest.mark.parametrize("n_clusters", [17, 40, 1000])
+    def test_random_states_with_expiry(self, n_clusters):
+        rng = np.random.default_rng(n_clusters)
+        d = 24
+        state = ClusterState(HyperParams(theta=0.0, staleness=timedelta(days=30)))
+        for i, p in enumerate(unit_vectors(rng, n_clusters, d)):
+            state.ingest_point(record(f"p{i}", ts=T0 + timedelta(days=int(rng.integers(60)))), p)
+        assert len(state.clusters) == n_clusters  # theta=0: every point opens a cluster
+        expired = state.expire_stale(T0 + timedelta(days=60))
+        assert 0 < len(expired) < n_clusters - 1
+        # one more retired out of turn, between batch boundaries
+        retired = state.active_clusters()[len(state.active_clusters()) // 2]
+        retired.active = False
+        assert retired.id not in [c.id for c in state.active_clusters()]
+        with pytest.raises(ValueError):
+            retired.active = True
+        for p in unit_vectors(rng, 50, d):
+            cid, dist = state.nearest_cluster(p)
+            want_id, want_dist = loop_nearest(state, p)
+            assert cid == want_id
+            assert dist == want_dist
+
+    def test_identical_centroids_oldest_wins(self):
+        rng = np.random.default_rng(31)
+        d = 64
+        state = ClusterState(HyperParams(theta=0.0))
+        for i, p in enumerate(unit_vectors(rng, 40, d)):
+            state.ingest_point(record(f"p{i}"), p)
+        shared = unit_vectors(rng, 1, d)[0]
+        for cid in (37, 5, 21):
+            state.get(cid).cen = shared
+        state.get(2).active = False
+        for p in list(unit_vectors(rng, 20, d)) + [shared]:
+            expected = loop_nearest(state, p)
+            assert state.nearest_cluster(p) == expected
+        cid, _ = state.nearest_cluster(shared + 1e-3 * unit_vectors(rng, 1, d)[0])
+        assert cid == 5
+
+    def test_centroids_survive_growth_and_compaction(self):
+        rng = np.random.default_rng(32)
+        state = ClusterState(HyperParams(theta=0.0, staleness=timedelta(days=5)))
+        points = unit_vectors(rng, 100, 8)
+        for i, p in enumerate(points):
+            state.ingest_point(record(f"p{i}", ts=T0 + timedelta(days=i % 10)), p)
+        state.expire_stale(T0 + timedelta(days=10))
+        for c in state.clusters:
+            np.testing.assert_array_equal(c.cen, points[c.id])
+            assert c.active == (c.id % 10 >= 5)
 
 
 class TestIngest:
@@ -243,6 +307,32 @@ class TestPersistence:
             assert (a.id, a.len, a.active) == (b.id, b.len, b.active)
             np.testing.assert_array_equal(a.cen, b.cen)
             assert [rid for rid, _ in a.reservoir] == [rid for rid, _ in b.reservoir]
+
+    def test_reads_indented_snapshot(self, tmp_path):
+        rng = np.random.default_rng(10)
+        state = ClusterState(HyperParams(theta=0.4, staleness=timedelta(days=2)))
+        for i, p in enumerate(unit_vectors(rng, 30, 5)):
+            state.ingest_point(record(f"p{i}", ts=T0 + timedelta(days=i // 10)), p)
+        assert len(state.expire_stale(T0 + timedelta(days=3, hours=12))) > 0
+        assert len(state.active_clusters()) > 0
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        state.save(compact)
+        indented.write_text(json.dumps(state.to_snapshot(), indent=1))
+        assert "\n" not in compact.read_text()
+        a, b = ClusterState.load(compact), ClusterState.load(indented)
+        assert a.to_snapshot() == b.to_snapshot() == state.to_snapshot()
+
+    @pytest.mark.parametrize("shift", [-1, 1, 5])
+    def test_rejects_next_id_out_of_step(self, shift):
+        rng = np.random.default_rng(11)
+        state = ClusterState(HyperParams(theta=0.4))
+        for i, p in enumerate(unit_vectors(rng, 20, 5)):
+            state.ingest_point(record(f"p{i}"), p)
+        doc = state.to_snapshot()
+        assert doc["next_id"] == len(doc["clusters"])
+        doc["next_id"] += shift
+        with pytest.raises(ValueError, match="next_id"):
+            ClusterState.from_snapshot(doc)
 
     def test_reload_reproduces_subsequent_behavior(self, tmp_path):
         rng = np.random.default_rng(9)

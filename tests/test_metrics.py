@@ -1,5 +1,7 @@
 """Evolution scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,17 +63,50 @@ class TestSilhouette:
 
     def test_matches_reference_on_random_inputs(self):
         rng = np.random.default_rng(21)
-        for _ in range(10):
+        cases = []
+        for _ in range(10):  # a few clusters
             n = int(rng.integers(5, 40))
+            cases.append((n, rng.integers(0, 3, size=n)))
+        for _ in range(10):  # mostly singletons
+            n = int(rng.integers(5, 40))
+            cases.append((n, rng.integers(0, 3 * n, size=n)))
+        for _ in range(10):  # many clusters, k near n/2
+            n = int(rng.integers(10, 60))
+            cases.append((n, rng.integers(0, n // 2, size=n)))
+        for n, labels in cases:
             vectors = unit_vectors(rng, n, 6)
-            labels = rng.integers(0, 3, size=n)
-            points = list(zip(vectors, labels.tolist()))
+            # sparse, non-contiguous ids, as an online run produces
+            points = list(zip(vectors, (7 * labels + 100).tolist()))
             got = silhouette_batch(points)
             want = silhouette_reference(points)
             if want is None:
                 assert got is UNDEFINED
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+    def test_scale_invariant(self):
+        rng = np.random.default_rng(22)
+        vectors = unit_vectors(rng, 30, 5)
+        labels = rng.integers(0, 4, size=30).tolist()
+        scaled = vectors * rng.uniform(0.1, 10.0, size=(30, 1))
+        assert silhouette_batch(list(zip(scaled, labels))) == pytest.approx(
+            silhouette_batch(list(zip(vectors, labels))), abs=1e-12
+        )
+
+    def test_large_batch_memory_is_linear(self):
+        # An n x n float64 matrix at n = 20k would take 3.2 GB.
+        rng = np.random.default_rng(23)
+        n, d, k = 20_000, 32, 40
+        vectors = unit_vectors(rng, n, d)
+        points = list(zip(vectors, rng.integers(0, k, size=n).tolist()))
+        tracemalloc.start()
+        try:
+            value = silhouette_batch(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value is not UNDEFINED
+        assert peak < 50 * 2**20, peak
 
 
 class TestScoreS:
