@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import LogevoError
+from .errors import ConfigError, LogevoError
 from .pipeline import RunConfig, run, sweep
 
 
@@ -76,7 +76,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"C={report['score']['C']:.4f}"
             )
         else:
-            grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+            try:
+                grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"invalid JSON in grid {args.grid}: {exc}") from exc
             rows = sweep(config, grid)
             ok = [r for r in rows if r["status"] == "OK"]
             print(f"sweep: {len(rows)} cells, {len(ok)} ok; results in sweep.csv")

@@ -79,9 +79,9 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
         if token in vocab:  # first occurrence wins
             continue
         try:
-            vec = np.array([float(v) for v in values])
+            vec = np.array(values, dtype=float)
         except ValueError as exc:
-            raise ProviderError(f"{path}:{lineno}: non-numeric value") from exc
+            raise ProviderError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
         vocab[token] = vec
     if dim is None or not vocab:
         raise ProviderError(f"{path}: no word vectors found")

@@ -67,72 +67,98 @@ def silhouette_batch(points: list[tuple[np.ndarray, int]]) -> float | None:
         mean_dist[at, own] = np.inf
         b = mean_dist.min(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = (size - dots[at, own]) / (size - 1.0)  # NaN for singletons
+            # NaN for singletons. A mean distance is never negative, but x.x can
+            # round to 1 + 2**-52: unclipped, identical members would score above 1.
+            a = np.maximum((size - dots[at, own]) / (size - 1.0), 0.0)
             denom = np.maximum(a, b)
             scores[rows] = np.where((size == 1.0) | (denom == 0.0), 0.0, (b - a) / denom)
     return float(scores.mean())
 
 
-def score_S(batches: list[BatchMetricInput]) -> float:
-    """Mean of (silhouette+1)/2 over batches with a defined silhouette."""
-    defined = [b.silhouette_raw for b in batches if b.silhouette_raw is not None]
+@dataclass(frozen=True)
+class BatchTerms:
+    """A batch's S, R and C terms. None where undefined: S without a silhouette,
+    R and C on the first batch, R when it shares no cluster id with the one before.
+    """
+
+    S: float | None
+    R: float | None
+    C: float | None
+
+
+def _s_term(silhouette_raw: float | None) -> float | None:
+    return None if silhouette_raw is None else (silhouette_raw + 1.0) / 2.0
+
+
+def _r_term(prev: dict[int, Representative], cur: dict[int, Representative]) -> float | None:
+    """Mean similarity of the representatives two batches share by cluster id.
+
+    Each similarity is a dot product of unit vectors, clipped into [0, 1]:
+    opposed representatives count 0, and x.x can round to 1 + 2**-52.
+    """
+    shared = sorted(prev.keys() & cur.keys())
+    if not shared:
+        return None
+    left = np.array([prev[c].vector for c in shared])
+    right = np.array([cur[c].vector for c in shared])
+    return float(np.clip(np.einsum("ij,ij->i", left, right), 0.0, 1.0).mean())
+
+
+def _c_term(prev: int, cur: int) -> float:
+    """1 - |delta| / max of two cluster counts; two empty batches count as no change."""
+    return 1.0 if prev == cur == 0 else 1.0 - abs(cur - prev) / max(cur, prev)
+
+
+def batch_terms(batches: list[BatchMetricInput]) -> list[BatchTerms]:
+    """The per-batch term series: what metrics.csv writes and S, R, C average."""
+    return [
+        BatchTerms(
+            _s_term(cur.silhouette_raw),
+            None if prev is None else _r_term(prev.reps, cur.reps),
+            None if prev is None else _c_term(prev.nr_clust, cur.nr_clust),
+        )
+        for prev, cur in zip([None, *batches], batches)
+    ]
+
+
+def _mean_S(terms: list[float | None]) -> float:
+    defined = [t for t in terms if t is not None]
     if not defined:
         raise AllUndefined("no batch has a defined silhouette")
-    return float(np.mean([(s + 1.0) / 2.0 for s in defined]))
+    return float(np.mean(defined))
 
 
-def _clamped_cos(a: np.ndarray, b: np.ndarray) -> float:
-    sim = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-    return max(sim, 0.0)
-
-
-def score_R(batches: list[BatchMetricInput], batch_mean: bool = False) -> float:
-    """Mean representative similarity across consecutive batch pairs.
-
-    Representatives pair by persistent cluster id; pairs sharing no id are
-    excluded. batch_mean=True compares mean representative vectors instead.
-    """
-    if len(batches) < 2:
+def _mean_R(pair_terms: list[float | None]) -> float:
+    if not pair_terms:
         raise NoSharedClusters("need at least two batches")
-    pair_scores = []
-    for prev, cur in zip(batches, batches[1:]):
-        if batch_mean:
-            if not prev.reps or not cur.reps:
-                continue
-            left = np.mean([r.vector for r in prev.reps.values()], axis=0)
-            right = np.mean([r.vector for r in cur.reps.values()], axis=0)
-            pair_scores.append(_clamped_cos(left, right))
-            continue
-        shared = sorted(set(prev.reps) & set(cur.reps))
-        if not shared:
-            continue
-        pair_scores.append(
-            float(
-                np.mean(
-                    [_clamped_cos(prev.reps[c].vector, cur.reps[c].vector) for c in shared]
-                )
-            )
-        )
-    if not pair_scores:
+    defined = [t for t in pair_terms if t is not None]
+    if not defined:
         raise NoSharedClusters("no consecutive batch pair shares a cluster id")
-    return float(np.mean(pair_scores))
+    return float(np.mean(defined))
+
+
+def score_S(batches: list[BatchMetricInput]) -> float:
+    """Mean S term over batches with a defined silhouette."""
+    return _mean_S([_s_term(b.silhouette_raw) for b in batches])
+
+
+def score_R(batches: list[BatchMetricInput]) -> float:
+    """Mean R term over consecutive batch pairs that share a cluster id."""
+    return _mean_R([_r_term(prev.reps, cur.reps) for prev, cur in zip(batches, batches[1:])])
 
 
 def score_C(counts: list[int]) -> float:
-    """Smoothness of the cluster-count trajectory.
-
-    Each consecutive pair contributes |delta| / max; two empty batches count
-    as no change, one empty batch as total disruption.
-    """
+    """Mean C term: the smoothness of the cluster-count trajectory."""
     if len(counts) < 2:
         raise ValueError("need at least two batch counts")
-    terms = []
-    for prev, cur in zip(counts, counts[1:]):
-        if prev == 0 and cur == 0:
-            terms.append(0.0)
-        else:
-            terms.append(abs(cur - prev) / max(cur, prev))
-    return 1.0 - float(np.mean(terms))
+    return float(np.mean([_c_term(prev, cur) for prev, cur in zip(counts, counts[1:])]))
+
+
+def score_series(series: list[BatchTerms], weights: tuple[float, float, float]) -> EvolutionScore:
+    """LCE of a term series: S, R and C are the means of its defined terms."""
+    pairs = series[1:]  # C is defined on each of them
+    S, R = _mean_S([t.S for t in series]), _mean_R([t.R for t in pairs])
+    return score_LCE(S, R, float(np.mean([t.C for t in pairs])), weights)
 
 
 def score_LCE(

@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import timedelta
 from functools import partial
 from importlib import resources
+from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -24,11 +26,10 @@ from .embeddings import (
 from .errors import ConfigError, EmptyStream, LogevoError
 from .metrics import (
     BatchMetricInput,
+    BatchTerms,
     EvolutionScore,
-    score_C,
-    score_LCE,
-    score_R,
-    score_S,
+    batch_terms,
+    score_series,
     silhouette_batch,
 )
 from .records import (
@@ -139,9 +140,6 @@ class RunConfig:
             return load_precomputed(spec["path"])
         raise ConfigError(f"unknown provider kind {kind!r}")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def ingest(config: RunConfig) -> tuple[list[LogRecord], int]:
     """Parse and level-filter the input stream."""
@@ -172,23 +170,47 @@ def embed_records(config: RunConfig, records: list[LogRecord], provider) -> list
     ]
 
 
-class _GmmClusterShim:
-    """Adapts a mixture component to the representative extractor interface."""
+@dataclass(frozen=True)
+class Prepared:
+    """The embedded input of a run: its batches and one vector per record."""
 
-    def __init__(self, cid: int, cen: np.ndarray, reservoir):
-        self.id = cid
-        self.cen = cen
-        self.reservoir = reservoir
+    batches: list[Batch]
+    vectors_by_batch: list[list[np.ndarray]]
+    texts: dict[str, str]  # record id -> scrubbed text
+    n_records: int
+    skipped: int
+    timings: dict[str, float]
 
 
-def _gmm_process(
-    config: RunConfig, batches: list[Batch], vectors_by_batch: list[list[np.ndarray]]
-) -> list[BatchReport]:
+def prepare(config: RunConfig) -> Prepared:
+    """Ingest, plan batches and embed: the stages that `run` and `sweep` share."""
+    t0 = time.perf_counter()
+    records, skipped = ingest(config)
+    if not records:
+        raise EmptyStream(f"no records after parsing/filtering {config.input}")
+    ingest_s = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    provider = config.resolved_provider()
+    batches = plan_batches(records, config.resolved_plan())
+    vectors_by_batch = [embed_records(config, list(b.records), provider) for b in batches]
+    embed_s = time.perf_counter() - t0
+    return Prepared(
+        batches,
+        vectors_by_batch,
+        {r.id: r.scrubbed_text for r in records},
+        len(records),
+        skipped,
+        {"ingest_s": ingest_s, "embed_s": embed_s},
+    )
+
+
+def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
     K = int(config.gmm.get("K", 11))
     seed = int(config.gmm.get("seed", 0))
     params = None
     reports = []
-    for batch, vecs in zip(batches, vectors_by_batch):
+    for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
         if not vecs:
             reports.append(
                 BatchReport(batch.index, [], [], K if params is not None else 0, {}, [])
@@ -209,45 +231,35 @@ def _gmm_process(
                 if lab == k
             ]
             if reservoir:
-                shim = _GmmClusterShim(k, params.means[k], reservoir)
+                # a mixture component, shaped as the extractor expects a cluster
+                shim = SimpleNamespace(id=k, cen=params.means[k], reservoir=reservoir)
                 reps[k] = representative_by_centroid(shim)
         reports.append(BatchReport(batch.index, [], points, K, reps, []))
     return reports
 
 
 def _online_process(
-    config: RunConfig,
-    batches: list[Batch],
-    vectors_by_batch: list[list[np.ndarray]],
-    state: ClusterState,
-    texts: dict[str, str],
+    config: RunConfig, prep: Prepared, state: ClusterState
 ) -> list[BatchReport]:
     pick = None  # the reservoir member nearest the centroid
     if config.representative.upper() == "LEVENSHTEIN":
-        pick = partial(representative_by_levenshtein, texts=texts)
+        pick = partial(representative_by_levenshtein, texts=prep.texts)
     return [
         state.process_batch(batch, vecs, pick)
-        for batch, vecs in zip(batches, vectors_by_batch)
+        for batch, vecs in zip(prep.batches, prep.vectors_by_batch)
     ]
 
 
 def compute_scores(
     reports: list[BatchReport], weights: tuple[float, float, float]
-) -> tuple[EvolutionScore, list[BatchMetricInput]]:
+) -> tuple[EvolutionScore, list[tuple[BatchMetricInput, BatchTerms]]]:
+    """The score of a run and its per-batch series, each batch with its terms."""
     inputs = [
-        BatchMetricInput(
-            index=r.index,
-            points=r.points,
-            nr_clust=r.nr_clust,
-            reps=r.reps,
-            silhouette_raw=silhouette_batch(r.points),
-        )
+        BatchMetricInput(r.index, r.points, r.nr_clust, r.reps, silhouette_batch(r.points))
         for r in reports
     ]
-    S = score_S(inputs)
-    R = score_R(inputs)
-    C = score_C([b.nr_clust for b in inputs])
-    return score_LCE(S, R, C, weights), inputs
+    terms = batch_terms(inputs)
+    return score_series(terms, weights), list(zip(inputs, terms))
 
 
 def _report_schema() -> dict:
@@ -259,64 +271,44 @@ def _report_schema() -> dict:
 def _write_outputs(
     out_dir: Path,
     config: RunConfig,
+    prep: Prepared,
     reports: list[BatchReport],
-    inputs: list[BatchMetricInput],
+    series: list[tuple[BatchMetricInput, BatchTerms]],
     score: EvolutionScore,
-    batches: list[Batch],
-    texts: dict[str, str],
-    skipped: int,
-    n_records: int,
     state: ClusterState | None,
     timings: dict[str, float],
 ) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # metrics.csv: the plot-ready series
+    # metrics.csv: the plot-ready series whose defined terms S, R and C average
     with (out_dir / "metrics.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["batch_index", "nr_clust", "silhouette_raw", "S_term", "R_term", "C_term"]
         )
-        prev = None
-        for b in inputs:
-            sil = "" if b.silhouette_raw is None else f"{b.silhouette_raw:.9f}"
-            s_term = "" if b.silhouette_raw is None else f"{(b.silhouette_raw + 1) / 2:.9f}"
-            r_term = c_term = ""
-            if prev is not None:
-                shared = set(prev.reps) & set(b.reps)
-                if shared:
-                    try:
-                        r_term = f"{score_R([prev, b]):.9f}"
-                    except LogevoError:
-                        r_term = ""
-                c_term = f"{1.0 - score_C([prev.nr_clust, b.nr_clust]):.9f}"
-            writer.writerow([b.index, b.nr_clust, sil, s_term, r_term, c_term])
-            prev = b
+        for b, t in series:
+            numbers = ("" if v is None else f"{v:.9f}" for v in (b.silhouette_raw, t.S, t.R, t.C))
+            writer.writerow([b.index, b.nr_clust, *numbers])
 
     # clusters.jsonl: one line per active cluster per batch
     with (out_dir / "clusters.jsonl").open("w") as fh:
         for report in reports:
             for cid, rep in sorted(report.reps.items()):
-                fh.write(
-                    json.dumps(
-                        {
-                            "batch_index": report.index,
-                            "id": cid,
-                            "len": report.sizes.get(cid),
-                            "representative": texts.get(rep.record_id, rep.text),
-                            "score": rep.score,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                row = {
+                    "batch_index": report.index,
+                    "id": cid,
+                    "len": report.sizes.get(cid),
+                    "representative": prep.texts.get(rep.record_id, rep.text),
+                    "score": rep.score,
+                }
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
 
     if state is not None:
         state.save(out_dir / "state.json")
 
     report_doc = {
-        "config": config.to_dict(),
-        "parse": {"records": n_records, "skipped": skipped},
+        "config": asdict(config),
+        "parse": {"records": prep.n_records, "skipped": prep.skipped},
         "batches": [
             {
                 "index": b.index,
@@ -327,15 +319,9 @@ def _write_outputs(
                 "silhouette_raw": inp.silhouette_raw,
                 "expired": rep.expired,
             }
-            for b, inp, rep in zip(batches, inputs, reports)
+            for b, (inp, _), rep in zip(prep.batches, series, reports)
         ],
-        "score": {
-            "S": score.S,
-            "R": score.R,
-            "C": score.C,
-            "weights": list(score.weights),
-            "lce": score.lce,
-        },
+        "score": {**asdict(score), "weights": list(score.weights)},
         "timings": timings,
     }
     jsonschema.validate(report_doc, _report_schema())
@@ -350,98 +336,77 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
 
     A preloaded ``state`` resumes a previous online-clustering run.
     """
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    records, skipped = ingest(config)
-    if not records:
-        raise EmptyStream(f"no records after parsing/filtering {config.input}")
-    timings["ingest_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    provider = config.resolved_provider()
-    batches = plan_batches(records, config.resolved_plan())
-    vectors_by_batch = [
-        embed_records(config, list(b.records), provider) for b in batches
-    ]
-    timings["embed_s"] = time.perf_counter() - t0
-    texts = {r.id: r.scrubbed_text for r in records}
+    prep = prepare(config)
+    timings = dict(prep.timings)
 
     t0 = time.perf_counter()
     if config.algorithm.upper() == "GMM":
-        reports = _gmm_process(config, batches, vectors_by_batch)
+        reports = _gmm_process(config, prep)
         state = None
     elif config.algorithm.upper() == "ONLINE":
         if state is None:
             state = ClusterState(config.resolved_params())
-        reports = _online_process(config, batches, vectors_by_batch, state, texts)
+        reports = _online_process(config, prep, state)
     else:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")
     timings["cluster_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    score, inputs = compute_scores(reports, tuple(config.weights))
+    score, series = compute_scores(reports, tuple(config.weights))
     timings["metrics_s"] = time.perf_counter() - t0
 
     return _write_outputs(
-        Path(config.output_dir),
-        config,
-        reports,
-        inputs,
-        score,
-        batches,
-        texts,
-        skipped,
-        len(records),
-        state,
-        timings,
+        Path(config.output_dir), config, prep, reports, series, score, state, timings
     )
+
+
+_SWEEP_AXES = ("theta", "alpha", "gamma")
+
+
+def _sweep_cells(config: RunConfig, grid: dict[str, list]) -> list[HyperParams]:
+    """One HyperParams per grid cell, theta outermost; rejects a bad grid."""
+    if config.algorithm.upper() != "ONLINE":
+        raise ConfigError(
+            f"sweep grids the online clusterer only, not algorithm {config.algorithm!r}"
+        )
+    if not isinstance(grid, dict) or not set(grid) <= set(_SWEEP_AXES):
+        raise ConfigError(f"a sweep grid maps some of {_SWEEP_AXES} to lists, not {grid!r}")
+    base = config.resolved_params()
+    axes = [grid.get(name, [getattr(base, name)]) for name in _SWEEP_AXES]
+    if not all(isinstance(values, (list, tuple)) and values for values in axes):
+        raise ConfigError("each sweep grid entry must be a nonempty list")
+    cells = []
+    for theta, alpha, gamma in product(*axes):
+        try:
+            cells.append(replace(base, theta=theta, alpha=alpha, gamma=gamma))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"bad sweep grid cell theta={theta}, alpha={alpha}, gamma={gamma}: {exc}"
+            ) from exc
+    return cells
 
 
 def sweep(config: RunConfig, grid: dict[str, list]) -> list[dict]:
     """Run the clustering+metrics stages across a theta/alpha/gamma grid.
 
-    Embeddings are computed once and shared across grid points. Returns rows
-    sorted by LCE descending and writes sweep.csv to the output directory.
+    Only the online clusterer is swept. The grid is checked before any input
+    is read, and embeddings are computed once and shared across grid points.
+    Returns rows sorted by LCE descending and writes sweep.csv to the output
+    directory.
     """
-    thetas = grid.get("theta", [config.resolved_params().theta])
-    alphas = grid.get("alpha", [config.resolved_params().alpha])
-    gammas = grid.get("gamma", [config.resolved_params().gamma])
-    if not (thetas and alphas and gammas):
-        raise ConfigError("sweep grid must be nonempty")
-
-    records, _ = ingest(config)
-    if not records:
-        raise EmptyStream(f"no records after parsing/filtering {config.input}")
-    provider = config.resolved_provider()
-    batches = plan_batches(records, config.resolved_plan())
-    vectors_by_batch = [embed_records(config, list(b.records), provider) for b in batches]
-    texts = {r.id: r.scrubbed_text for r in records}
-    base = config.resolved_params()
+    cells = _sweep_cells(config, grid)
+    prep = prepare(config)
 
     rows = []
-    for theta in thetas:
-        for alpha in alphas:
-            for gamma in gammas:
-                row = {"theta": theta, "alpha": alpha, "gamma": gamma}
-                try:
-                    params = HyperParams(
-                        theta=theta,
-                        alpha=alpha,
-                        gamma=gamma,
-                        staleness=base.staleness,
-                        reservoir_cap=base.reservoir_cap,
-                    )
-                    state = ClusterState(params)
-                    reports = _online_process(
-                        config, batches, vectors_by_batch, state, texts
-                    )
-                    score, _ = compute_scores(reports, tuple(config.weights))
-                    row.update(
-                        S=score.S, R=score.R, C=score.C, lce=score.lce, status="OK"
-                    )
-                except LogevoError as exc:
-                    row.update(S="", R="", C="", lce="", status=f"FAILED:{exc.cli_class}")
-                rows.append(row)
+    for params in cells:
+        row = {"theta": params.theta, "alpha": params.alpha, "gamma": params.gamma}
+        try:
+            reports = _online_process(config, prep, ClusterState(params))
+            score, _ = compute_scores(reports, tuple(config.weights))
+            row.update(S=score.S, R=score.R, C=score.C, lce=score.lce, status="OK")
+        except LogevoError as exc:
+            row.update(S="", R="", C="", lce="", status=f"FAILED:{exc.cli_class}")
+        rows.append(row)
 
     rows.sort(key=lambda r: (r["status"] != "OK", -(r["lce"] if r["lce"] != "" else 0)))
     out_dir = Path(config.output_dir)

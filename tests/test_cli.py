@@ -1,13 +1,15 @@
 """CLI and pipeline surface."""
 
+import csv
 import json
+from datetime import timedelta
 
 import pytest
 
 from logevo.cli import main
 from logevo.pipeline import RunConfig, run, sweep
 
-from helpers import make_evolution_jsonl, make_loghub_sample
+from helpers import T0, make_evolution_jsonl, make_loghub_sample
 
 
 @pytest.fixture
@@ -39,6 +41,54 @@ def test_run_happy_path(workspace, capsys):
     for key in ("S", "R", "C", "lce"):
         assert 0.0 <= report["score"][key] <= 1.0
     assert "lce=" in capsys.readouterr().out
+
+
+def write_jsonl(path, records):
+    with path.open("w") as fh:
+        for r in records:
+            row = {"id": r.id, "timestamp": r.timestamp.isoformat(), "level": "ERROR",
+                   "text": r.raw_text}
+            fh.write(json.dumps(row) + "\n")
+
+
+def test_metrics_csv_is_the_series_report_json_averages(tmp_path):
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, make_evolution_jsonl(days=6, per_kind=4, seed=5))
+    out_dir = tmp_path / "out"
+    report = run(RunConfig(input=str(input_path), format="jsonl", params={"theta": 0.3},
+                           output_dir=str(out_dir)))
+    with (out_dir / "metrics.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["batch_index"]) for r in rows] == [b["index"] for b in report["batches"]]
+    assert rows[0]["R_term"] == rows[0]["C_term"] == ""
+    for column, key in (("S_term", "S"), ("R_term", "R"), ("C_term", "C")):
+        defined = [float(r[column]) for r in rows if r[column] != ""]
+        assert defined, column
+        assert sum(defined) / len(defined) == pytest.approx(report["score"][key], abs=1e-9)
+
+
+def test_identical_members_run_scores_in_range(tmp_path, capsys):
+    # Two templates whose hashed vectors have x.x = 1 + 2**-52: unclipped, each
+    # cluster of identical members gave a silhouette of 1.0000000000000002.
+    input_path = tmp_path / "two.jsonl"
+    with input_path.open("w") as fh:
+        for day in range(3):
+            for text in ("tok105 tok129 tok52 tok56 tok130",
+                         "tok94 tok112 tok80 tok188 tok92 tok191"):
+                for k in range(5):
+                    ts = T0 + timedelta(days=day, hours=k)
+                    fh.write(json.dumps({"timestamp": ts.isoformat(), "level": "ERROR",
+                                         "text": text}) + "\n")
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        "input": str(input_path), "format": "jsonl", "batch": "1d",
+        "provider": {"kind": "hashing", "d": 64, "seed": 0}, "params": {"theta": 0.3},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(config_path)]) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [b["silhouette_raw"] for b in report["batches"]] == [1.0, 1.0, 1.0]
+    assert report["score"]["S"] == 1.0
 
 
 def test_flag_overrides(workspace):
@@ -110,11 +160,7 @@ def test_levenshtein_mode(workspace):
 def test_clusters_jsonl_len_is_size_as_of_batch(tmp_path):
     # three families, each fed every day for ten daily batches
     input_path = tmp_path / "events.jsonl"
-    with input_path.open("w") as fh:
-        for r in make_evolution_jsonl(days=10, per_kind=4, seed=5):
-            row = {"id": r.id, "timestamp": r.timestamp.isoformat(), "level": "ERROR",
-                   "text": r.raw_text}
-            fh.write(json.dumps(row) + "\n")
+    write_jsonl(input_path, make_evolution_jsonl(days=10, per_kind=4, seed=5))
     out_dir = tmp_path / "out"
     run(RunConfig(input=str(input_path), format="jsonl", params={"theta": 0.3},
                   output_dir=str(out_dir)))
@@ -168,3 +214,28 @@ class TestSweep:
             main(["sweep", "--config", str(config_path), "--grid", str(grid_path)]) == 0
         )
         assert "sweep: 2 cells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "grid, flags, detail",
+        [
+            ({"theta": [0.3, 3.0]}, [], "theta must be in [0, 2]"),
+            ({"theta": [0.3]}, ["--algo", "gmm"], "online clusterer only"),
+            ({"thetas": [0.3]}, [], "a sweep grid maps some of"),
+            ([0.3], [], "a sweep grid maps some of"),
+            ("{theta: [0.3]}", [], "invalid JSON in grid"),
+        ],
+    )
+    def test_bad_sweep_is_config_error_before_input_is_read(
+        self, tmp_path, workspace, capsys, grid, flags, detail
+    ):
+        # The input does not exist, so reading it first would end in "IO: ...".
+        _, _, config = workspace
+        config_path = tmp_path / "missing_input.json"
+        config_path.write_text(json.dumps(dict(config, input=str(tmp_path / "nope.log"))))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(grid if isinstance(grid, str) else json.dumps(grid))
+        argv = ["sweep", "--config", str(config_path), "--grid", str(grid_path), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG: ") and err.count("\n") == 1, err
+        assert detail in err

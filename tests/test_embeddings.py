@@ -54,6 +54,12 @@ class TestWordAveraging:
         with pytest.raises(ProviderError, match=":3"):
             load_word_vectors(path)
 
+    def test_non_numeric_value_names_line_and_value(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\nb 1 1,5\n")
+        with pytest.raises(ProviderError, match=r"vec\.txt:2: non-numeric value.*'1,5'"):
+            load_word_vectors(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProviderError, match="nope.txt"):
             load_word_vectors(tmp_path / "nope.txt")

@@ -10,10 +10,12 @@ from logevo.errors import AllUndefined, NoSharedClusters, WeightError
 from logevo.metrics import (
     UNDEFINED,
     BatchMetricInput,
+    batch_terms,
     score_C,
     score_LCE,
     score_R,
     score_S,
+    score_series,
     silhouette_batch,
 )
 from logevo.representatives import Representative
@@ -83,6 +85,17 @@ class TestSilhouette:
                 assert got is UNDEFINED
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+    def test_identical_members_score_at_most_one(self):
+        # For about a third of unit vectors x.x rounds to 1 + 2**-52, which
+        # puts the within-cluster distance of identical members below 0.
+        X = unit_vectors(np.random.default_rng(24), 200, 64)
+        over = [x for x in X if float(x @ x) > 1.0][:4]
+        assert len(over) == 4
+        points = [(x, cid) for cid, x in enumerate(over) for _ in range(3)]
+        value = silhouette_batch(points)
+        assert value <= 1.0
+        assert value == pytest.approx(silhouette_reference(points), abs=1e-9)
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(22)
@@ -159,11 +172,35 @@ class TestScoreR:
         b1 = batch_input(1, reps={1: rep(1, (-1, 0))})
         assert score_R([b0, b1]) == 0.0
 
-    def test_batch_mean_variant(self):
-        b0 = batch_input(0, reps={1: rep(1, (1, 0)), 2: rep(2, (0, 1))})
-        b1 = batch_input(1, reps={7: rep(7, (1, 0)), 8: rep(8, (0, 1))})
-        # no shared ids, but the mean vectors coincide
-        assert score_R([b0, b1], batch_mean=True) == pytest.approx(1.0)
+    def test_self_similarity_clipped_to_one(self):
+        # x.x of a unit vector can round to 1 + 2**-52
+        for v in unit_vectors(np.random.default_rng(31), 20, 64):
+            reps = {0: Representative(0, "r0", 1.0, v)}
+            assert score_R([batch_input(0, reps=reps), batch_input(1, reps=reps)]) <= 1.0
+
+
+class TestBatchTerms:
+    def test_series_and_its_means(self):
+        b0 = batch_input(0, reps={1: rep(1, (1, 0))}, sil=0.5, nr_clust=2)
+        b1 = batch_input(1, reps={1: rep(1, (0, 1))}, sil=None, nr_clust=4)
+        b2 = batch_input(2, reps={2: rep(2, (1, 0))}, sil=-0.5, nr_clust=4)
+        terms = batch_terms([b0, b1, b2])
+        assert [(t.S, t.R, t.C) for t in terms] == [
+            (0.75, None, None),
+            (None, 0.0, 0.5),
+            (0.25, None, 1.0),
+        ]
+        score = score_series(terms, (1 / 3, 1 / 3, 1 / 3))
+        assert (score.S, score.R, score.C) == (0.5, 0.0, 0.75)
+        assert score.S == score_S([b0, b1, b2])
+        assert score.R == score_R([b0, b1, b2])
+        assert score.C == score_C([2, 4, 4])
+
+    def test_single_batch_has_no_pair_terms(self):
+        terms = batch_terms([batch_input(0, sil=0.0, nr_clust=3)])
+        assert [(t.S, t.R, t.C) for t in terms] == [(0.5, None, None)]
+        with pytest.raises(NoSharedClusters):
+            score_series(terms, (1 / 3, 1 / 3, 1 / 3))
 
 
 class TestScoreC:
