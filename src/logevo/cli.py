@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from .errors import ConfigError, LogevoError
-from .pipeline import RunConfig, run, sweep
+from .errors import LogevoError
+from .pipeline import _BATCH_SHORTHAND, check_config, read_json, run, sweep
+
+_PARAM_FLAGS = ("theta", "alpha", "gamma", "staleness_days")
+_CONFIG_FLAGS = ("batch", "weights", "algorithm", "representative", "output_dir")
+
+
+def _number(text: str) -> float | str:
+    try:
+        return float(text)
+    except ValueError:
+        return text  # the config check names it
 
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
@@ -16,33 +24,24 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--gamma", type=int)
     parser.add_argument("--staleness-days", type=float)
-    parser.add_argument("--batch", choices=["1d", "5d", "snapshot30d+5d"])
-    parser.add_argument("--weights", help="comma-separated wS,wR,wC")
-    parser.add_argument("--algo", choices=["online", "gmm"])
-    parser.add_argument("--rep", choices=["centroid", "levenshtein"])
+    parser.add_argument("--batch", choices=sorted(_BATCH_SHORTHAND))
+    parser.add_argument("--weights", type=lambda text: [_number(w) for w in text.split(",")],
+                        help="comma-separated wS,wR,wC")
+    parser.add_argument("--algo", dest="algorithm", choices=["online", "gmm"])
+    parser.add_argument("--rep", dest="representative", choices=["centroid", "levenshtein"])
     parser.add_argument("--output-dir")
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    params = dict(config.params)
-    for key, dest in (("theta", "theta"), ("alpha", "alpha"), ("gamma", "gamma")):
-        value = getattr(args, dest)
-        if value is not None:
-            params[key] = value
-    if args.staleness_days is not None:
-        params["staleness_days"] = args.staleness_days
-    config.params = params
-    if args.batch is not None:
-        config.batch = args.batch
-    if args.weights is not None:
-        config.weights = [float(w) for w in args.weights.split(",")]
-    if args.algo is not None:
-        config.algorithm = args.algo.upper()
-    if args.rep is not None:
-        config.representative = args.rep.upper()
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
-    return config
+def _apply_overrides(doc, args: argparse.Namespace):
+    """Merge the flags that are set into a config document; the check comes after."""
+    if not isinstance(doc, dict):
+        return doc  # the check rejects it
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    doc.update((k, flags[k]) for k in _CONFIG_FLAGS if k in flags)
+    params = {k: flags[k] for k in _PARAM_FLAGS if k in flags}
+    if params and isinstance(doc.get("params", {}), dict):
+        doc["params"] = {**doc.get("params", {}), **params}
+    return doc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(RunConfig.from_file(args.config), args)
+        config = check_config(_apply_overrides(read_json(args.config, "config"), args))
         if args.command == "run":
             report = run(config)
             print(
@@ -76,11 +75,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"C={report['score']['C']:.4f}"
             )
         else:
-            try:
-                grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in grid {args.grid}: {exc}") from exc
-            rows = sweep(config, grid)
+            rows = sweep(config, read_json(args.grid, "grid"))
             ok = [r for r in rows if r["status"] == "OK"]
             print(f"sweep: {len(rows)} cells, {len(ok)} ok; results in sweep.csv")
             if ok:

@@ -41,8 +41,8 @@ class HyperParams:
             raise ValueError("theta must be in [0, 2]")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.gamma < 1:
-            raise ValueError("gamma must be a positive integer")
+        if self.gamma < 1 or self.reservoir_cap < 1:
+            raise ValueError("gamma and reservoir_cap must be positive integers")
         if self.staleness <= timedelta(0):
             raise ValueError("staleness must be positive")
 

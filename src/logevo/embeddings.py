@@ -141,15 +141,22 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
-                vec = np.array(obj["vector"], dtype=float)
+                try:
+                    obj = json.loads(line)
+                    rid, vec = str(obj["id"]), np.array(obj["vector"], dtype=float)
+                except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+                    raise ProviderError(
+                        f"{path}:{lineno}: not an object with an id and a vector of numbers: {exc}"
+                    ) from exc
+                if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():  # null is NaN
+                    raise ProviderError(f"{path}:{lineno}: the vector is not a list of numbers")
                 if dim is None:
                     dim = vec.shape[0]
                 elif vec.shape[0] != dim:
                     raise ProviderError(
                         f"{path}:{lineno}: vector dimension {vec.shape[0]} != {dim}"
                     )
-                table[str(obj["id"])] = vec
+                table[rid] = vec
     except OSError as exc:
         raise ProviderError(f"cannot read precomputed vectors from {path}: {exc}") from exc
     if dim is None:

@@ -168,7 +168,7 @@ def score_LCE(
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
 ) -> EvolutionScore:
     wS, wR, wC = weights
-    if min(wS, wR, wC) < 0 or abs(wS + wR + wC - 1.0) > 1e-9:
+    if not (min(wS, wR, wC) >= 0 and abs(wS + wR + wC - 1.0) <= 1e-9):  # NaN fails too
         raise WeightError(f"weights must be nonnegative and sum to 1, got {weights}")
     for name, value in (("S", S), ("R", R), ("C", C)):
         if not 0.0 <= value <= 1.0:

@@ -29,6 +29,7 @@ from .metrics import (
     BatchTerms,
     EvolutionScore,
     batch_terms,
+    score_LCE,
     score_series,
     silhouette_batch,
 )
@@ -66,91 +67,98 @@ class RunConfig:
     gmm: dict = field(default_factory=lambda: {"K": 11, "seed": 0})
     weights: list[float] = field(default_factory=lambda: [1 / 3, 1 / 3, 1 / 3])
     representative: str = "CENTROID"  # CENTROID | LEVENSHTEIN
-    drop_placeholders: bool = False
-    continuation: bool = True
     stopwords_path: str | None = None
     output_dir: str = "out"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in config {path}: {exc}") from exc
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "input" not in doc:
-            raise ConfigError("config requires an 'input' path")
-        return cls(**doc)
+        return check_config(read_json(path, "config"))
 
     def resolved_plan(self) -> BatchPlan:
         if isinstance(self.batch, str):
-            plan = _BATCH_SHORTHAND.get(self.batch)
-            if plan is None:
-                raise ConfigError(
-                    f"unknown batch shorthand {self.batch!r}; use one of "
-                    f"{sorted(_BATCH_SHORTHAND)}"
-                )
-            return plan
-        try:
-            mode = BatchMode(self.batch["mode"])
-            window = timedelta(days=float(self.batch["window_days"]))
-            snapshot = (
-                timedelta(days=float(self.batch["snapshot_days"]))
-                if "snapshot_days" in self.batch
-                else None
-            )
-            return BatchPlan(mode, window, snapshot)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad batch plan: {exc}") from exc
+            return _lookup(_BATCH_SHORTHAND, self.batch, "batch shorthand")
+        days = {k: timedelta(days=v) for k, v in self.batch.items() if k != "mode"}
+        mode = BatchMode(self.batch["mode"])
+        return BatchPlan(mode, days["window_days"], days.get("snapshot_days"))
 
     def resolved_line_format(self) -> LineFormat:
         if isinstance(self.line_format, str):
-            fmt = formats.PRESETS.get(self.line_format)
-            if fmt is None:
-                raise ConfigError(
-                    f"unknown line format preset {self.line_format!r}; "
-                    f"presets: {sorted(formats.PRESETS)}"
-                )
-            return fmt
-        try:
-            return LineFormat(**self.line_format)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad line format descriptor: {exc}") from exc
+            return _lookup(formats.PRESETS, self.line_format, "line format preset")
+        return LineFormat(**self.line_format)
 
     def resolved_params(self) -> HyperParams:
         p = dict(self.params)
         if "staleness_days" in p:
-            p["staleness"] = timedelta(days=float(p.pop("staleness_days")))
-        try:
-            return HyperParams(**p)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad hyperparameters: {exc}") from exc
+            p["staleness"] = timedelta(days=p.pop("staleness_days"))
+        return HyperParams(**p)
 
     def resolved_provider(self):
-        spec = dict(self.provider)
-        kind = spec.pop("kind", None)
-        if kind == "hashing":
-            return HashingProvider(dim=int(spec.get("d", 64)), seed=int(spec.get("seed", 0)))
-        if kind == "word_vectors":
-            return load_word_vectors(spec["path"])
-        if kind == "precomputed":
-            return load_precomputed(spec["path"])
-        raise ConfigError(f"unknown provider kind {kind!r}")
+        spec = self.provider
+        if spec["kind"] == "hashing":
+            return HashingProvider(dim=spec.get("d", 64), seed=spec.get("seed", 0))
+        load = load_word_vectors if spec["kind"] == "word_vectors" else load_precomputed
+        return load(spec["path"])
+
+
+def _lookup(table: dict, name: str, what: str):
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}; use one of {sorted(table)}")
+    return table[name]
+
+
+def _schema_problem(name: str, doc) -> str | None:
+    """``where: what`` of the most relevant way ``doc`` breaks data/<name>.schema.json."""
+    schema = json.loads(resources.files("logevo.data").joinpath(f"{name}.schema.json").read_text())
+    # An integer is an int, not 2.0, and a tuple is an array.
+    types = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
+        "array": lambda _, v: isinstance(v, (list, tuple)),
+    })
+    validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=types)
+    error = jsonschema.exceptions.best_match(validator(schema).iter_errors(doc))
+    if error is not None:
+        return f"{'.'.join(map(str, error.absolute_path)) or name}: {error.message}"
+
+
+def read_json(path: str | Path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {what} {path}: {exc}") from exc
+
+
+def check_config(doc) -> RunConfig:
+    """The one config check, made before any input is read: the shape from
+    config.schema.json, then each value rule from the class that owns it.
+    ``algorithm`` and ``representative`` are case-folded here and nowhere else."""
+    if isinstance(doc, dict):
+        folded = ("algorithm", "representative")
+        doc = {k: v.upper() if k in folded and isinstance(v, str) else v for k, v in doc.items()}
+    problem = _schema_problem("config", doc)
+    if problem is not None:
+        raise ConfigError(problem)
+    config = RunConfig(**doc)
+    for name, rule in (
+        ("params", config.resolved_params),
+        ("batch", config.resolved_plan),
+        ("line_format", config.resolved_line_format),
+        ("level_filter", lambda: [Level(lv) for lv in config.level_filter]),
+        ("weights", lambda: score_LCE(0.0, 0.0, 0.0, tuple(config.weights))),
+        ("provider", lambda: config.provider["kind"] != "hashing" or config.resolved_provider()),
+    ):
+        try:
+            rule()
+        except (ValueError, OverflowError, LogevoError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    return config
 
 
 def ingest(config: RunConfig) -> tuple[list[LogRecord], int]:
     """Parse and level-filter the input stream."""
     if config.format == "jsonl":
         records, skipped = read_jsonl(config.input), 0
-    elif config.format == "loghub":
-        records, skipped = read_loghub_file(
-            config.input, config.resolved_line_format(), config.continuation
-        )
     else:
-        raise ConfigError(f"unknown input format {config.format!r}")
+        records, skipped = read_loghub_file(config.input, config.resolved_line_format())
     wanted = {Level(lv) for lv in config.level_filter}
     return [r for r in records if r.level in wanted], skipped
 
@@ -158,14 +166,7 @@ def ingest(config: RunConfig) -> tuple[list[LogRecord], int]:
 def embed_records(config: RunConfig, records: list[LogRecord], provider) -> list[np.ndarray]:
     stopwords = load_stopwords(config.stopwords_path)
     return [
-        provider.vector(
-            normalize(
-                r.scrubbed_text,
-                source_id=r.id,
-                stopwords=stopwords,
-                keep_placeholders=not config.drop_placeholders,
-            )
-        )
+        provider.vector(normalize(r.scrubbed_text, source_id=r.id, stopwords=stopwords))
         for r in records
     ]
 
@@ -206,15 +207,12 @@ def prepare(config: RunConfig) -> Prepared:
 
 
 def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
-    K = int(config.gmm.get("K", 11))
-    seed = int(config.gmm.get("seed", 0))
+    K, seed = config.gmm.get("K", 11), config.gmm.get("seed", 0)
     params = None
     reports = []
     for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
         if not vecs:
-            reports.append(
-                BatchReport(batch.index, [], [], K if params is not None else 0, {}, [])
-            )
+            reports.append(BatchReport(batch.index, [], [], 0 if params is None else K, {}, []))
             continue
         X = np.array(vecs)
         if params is None:
@@ -242,7 +240,7 @@ def _online_process(
     config: RunConfig, prep: Prepared, state: ClusterState
 ) -> list[BatchReport]:
     pick = None  # the reservoir member nearest the centroid
-    if config.representative.upper() == "LEVENSHTEIN":
+    if config.representative == "LEVENSHTEIN":
         pick = partial(representative_by_levenshtein, texts=prep.texts)
     return [
         state.process_batch(batch, vecs, pick)
@@ -262,12 +260,6 @@ def compute_scores(
     return score_series(terms, weights), list(zip(inputs, terms))
 
 
-def _report_schema() -> dict:
-    return json.loads(
-        resources.files("logevo.data").joinpath("report.schema.json").read_text()
-    )
-
-
 def _write_outputs(
     out_dir: Path,
     config: RunConfig,
@@ -278,6 +270,27 @@ def _write_outputs(
     state: ClusterState | None,
     timings: dict[str, float],
 ) -> dict:
+    report_doc = {
+        "config": asdict(config),
+        "parse": {"records": prep.n_records, "skipped": prep.skipped},
+        "batches": [
+            {
+                "index": b.index,
+                "start": b.start.isoformat(),
+                "end": b.end.isoformat(),
+                "n_records": len(b.records),
+                "nr_clust": inp.nr_clust,
+                "silhouette_raw": inp.silhouette_raw,
+                "expired": rep.expired,
+            }
+            for b, (inp, _), rep in zip(prep.batches, series, reports)
+        ],
+        "score": {**asdict(score), "weights": list(score.weights)},
+        "timings": timings,
+    }
+    problem = _schema_problem("report", report_doc)
+    if problem is not None:  # a bug in the program: write nothing
+        raise LogevoError(f"report.json breaks its schema: {problem}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # metrics.csv: the plot-ready series whose defined terms S, R and C average
@@ -306,25 +319,6 @@ def _write_outputs(
     if state is not None:
         state.save(out_dir / "state.json")
 
-    report_doc = {
-        "config": asdict(config),
-        "parse": {"records": prep.n_records, "skipped": prep.skipped},
-        "batches": [
-            {
-                "index": b.index,
-                "start": b.start.isoformat(),
-                "end": b.end.isoformat(),
-                "n_records": len(b.records),
-                "nr_clust": inp.nr_clust,
-                "silhouette_raw": inp.silhouette_raw,
-                "expired": rep.expired,
-            }
-            for b, (inp, _), rep in zip(prep.batches, series, reports)
-        ],
-        "score": {**asdict(score), "weights": list(score.weights)},
-        "timings": timings,
-    }
-    jsonschema.validate(report_doc, _report_schema())
     (out_dir / "report.json").write_text(
         json.dumps(report_doc, indent=1, sort_keys=True), encoding="utf-8"
     )
@@ -336,19 +330,17 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
 
     A preloaded ``state`` resumes a previous online-clustering run.
     """
+    config = check_config(asdict(config))
     prep = prepare(config)
     timings = dict(prep.timings)
 
     t0 = time.perf_counter()
-    if config.algorithm.upper() == "GMM":
-        reports = _gmm_process(config, prep)
-        state = None
-    elif config.algorithm.upper() == "ONLINE":
+    if config.algorithm == "GMM":
+        reports, state = _gmm_process(config, prep), None
+    else:
         if state is None:
             state = ClusterState(config.resolved_params())
         reports = _online_process(config, prep, state)
-    else:
-        raise ConfigError(f"unknown algorithm {config.algorithm!r}")
     timings["cluster_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -365,7 +357,7 @@ _SWEEP_AXES = ("theta", "alpha", "gamma")
 
 def _sweep_cells(config: RunConfig, grid: dict[str, list]) -> list[HyperParams]:
     """One HyperParams per grid cell, theta outermost; rejects a bad grid."""
-    if config.algorithm.upper() != "ONLINE":
+    if config.algorithm != "ONLINE":
         raise ConfigError(
             f"sweep grids the online clusterer only, not algorithm {config.algorithm!r}"
         )
@@ -389,11 +381,12 @@ def _sweep_cells(config: RunConfig, grid: dict[str, list]) -> list[HyperParams]:
 def sweep(config: RunConfig, grid: dict[str, list]) -> list[dict]:
     """Run the clustering+metrics stages across a theta/alpha/gamma grid.
 
-    Only the online clusterer is swept. The grid is checked before any input
-    is read, and embeddings are computed once and shared across grid points.
+    Only the online clusterer is swept. The config and the grid are checked before
+    any input is read, and embeddings are computed once and shared across grid points.
     Returns rows sorted by LCE descending and writes sweep.csv to the output
     directory.
     """
+    config = check_config(asdict(config))
     cells = _sweep_cells(config, grid)
     prep = prepare(config)
 

@@ -93,9 +93,9 @@ class LogRecord:
 class LineFormat:
     """Regex-based line descriptor.
 
-    ``pattern`` must define named groups ``timestamp`` and ``text``; ``level``
-    and ``source`` are optional. ``timestamp_format`` is a strptime pattern.
-    Formats without a year component (syslog-style) set ``default_year``.
+    ``pattern`` must compile and define named groups ``timestamp`` and ``text``;
+    ``level`` and ``source`` are optional. ``timestamp_format`` is a strptime
+    pattern. Formats without a year component (syslog-style) set ``default_year``.
     """
 
     name: str
@@ -104,7 +104,13 @@ class LineFormat:
     default_year: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_compiled", re.compile(self.pattern))
+        try:
+            compiled = re.compile(self.pattern)
+        except re.error as exc:
+            raise ValueError(f"pattern {self.pattern!r} does not compile: {exc}") from exc
+        if not {"timestamp", "text"} <= compiled.groupindex.keys():
+            raise ValueError(f"pattern {self.pattern!r} lacks a group 'timestamp' or 'text'")
+        object.__setattr__(self, "_compiled", compiled)
 
     @property
     def regex(self) -> re.Pattern:
@@ -133,16 +139,12 @@ def parse_loghub_line(line: str, fmt: LineFormat, record_id: str = "0") -> LogRe
     )
 
 
-def read_loghub_file(
-    path: str | Path,
-    fmt: LineFormat,
-    continuation: bool = True,
-) -> tuple[list[LogRecord], int]:
+def read_loghub_file(path: str | Path, fmt: LineFormat) -> tuple[list[LogRecord], int]:
     """Read a raw log file.
 
-    Lines that fail the format are appended to the previous record when the
-    continuation policy is on (stack traces); otherwise they are counted and
-    skipped. Returns (records, skipped_count).
+    Lines that fail the format are appended to the previous record (stack
+    traces); before the first record they are counted and skipped. Returns
+    (records, skipped_count).
     """
     records: list[LogRecord] = []
     skipped = 0
@@ -154,7 +156,7 @@ def read_loghub_file(
             try:
                 rec = parse_loghub_line(line, fmt, record_id=f"{path.name}:{lineno}")
             except ParseError:
-                if continuation and records:
+                if records:
                     records[-1] = records[-1].with_appended_text(line.rstrip("\n"))
                 else:
                     skipped += 1
@@ -175,11 +177,16 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON") from exc
+            if not isinstance(obj, dict) or not {"timestamp", "level", "text"} <= obj.keys():
+                raise ParseError(f"{path}:{lineno}: not an object with timestamp, level and text")
             ts_raw = obj["timestamp"]
-            if isinstance(ts_raw, (int, float)):
-                ts = datetime.fromtimestamp(ts_raw, tz=timezone.utc)
-            else:
-                ts = datetime.fromisoformat(str(ts_raw).replace("Z", "+00:00"))
+            try:
+                if isinstance(ts_raw, (int, float)):
+                    ts = datetime.fromtimestamp(ts_raw, tz=timezone.utc)
+                else:
+                    ts = datetime.fromisoformat(str(ts_raw).replace("Z", "+00:00"))
+            except (ValueError, OverflowError, OSError) as exc:
+                raise ParseError(f"{path}:{lineno}: bad timestamp: {exc}") from exc
             records.append(
                 LogRecord.build(
                     id=str(obj.get("id", f"{path.name}:{lineno}")),

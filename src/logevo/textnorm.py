@@ -67,7 +67,6 @@ def normalize(
     text: str,
     source_id: str = "",
     stopwords: frozenset[str] | None = None,
-    keep_placeholders: bool = True,
 ) -> TokenSeq:
     """Tokenize, lowercase, suffix-normalize, and drop stopwords.
 
@@ -80,8 +79,7 @@ def normalize(
     out = []
     for raw in _TOKEN_RE.findall(text):
         if raw in _PLACEHOLDERS:
-            if keep_placeholders:
-                out.append(raw)
+            out.append(raw)
             continue
         tok = stem(raw.lower())
         if tok and tok not in stopwords:

@@ -1,12 +1,16 @@
 """CLI and pipeline surface."""
 
 import csv
+import itertools
 import json
 from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from logevo import pipeline
 from logevo.cli import main
+from logevo.errors import ConfigError
 from logevo.pipeline import RunConfig, run, sweep
 
 from helpers import T0, make_evolution_jsonl, make_loghub_sample
@@ -177,6 +181,153 @@ def test_clusters_jsonl_len_is_size_as_of_batch(tmp_path):
         seq = sizes[cid]
         assert all(a < b for a, b in zip(seq, seq[1:])), seq
         assert seq[-1] == final[cid]
+
+
+@pytest.mark.parametrize(
+    "silhouettes, cli_class",
+    [
+        # a constant 1.5 gives S = 1.25, which the score rejects before any write
+        ([1.5], "METRIC"),
+        # alternating with -1 keeps S in range; only report.json's schema catches it
+        ([1.5, -1.0], "INTERNAL"),
+    ],
+)
+def test_report_that_breaks_its_schema_writes_nothing(
+    workspace, monkeypatch, capsys, silhouettes, cli_class
+):
+    tmp_path, config_path, _ = workspace
+    values = itertools.cycle(silhouettes)
+    monkeypatch.setattr(pipeline, "silhouette_batch", lambda points: next(values))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cli_class}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def _line_format(pattern):
+    return {"name": "custom", "pattern": pattern, "timestamp_format": "%Y"}
+
+
+# Each is rejected by the config check, so the missing input is never opened.
+BAD_CONFIGS = [
+    ({"representative": "levenstein"}, [], "representative"),
+    ({"params": {"gamma": 2.5}}, [], "params.gamma"),
+    ({"params": {"theta": 2.5}}, [], "params"),
+    ({"params": {"reservoir_cap": 0}}, [], "params"),
+    ({"weights": [0.5, 0.5]}, [], "weights"),
+    ({"weights": [0.5, 0.5, 0.5]}, [], "weights"),
+    ({"weights": "abc"}, [], "weights"),
+    ({"level_filter": ["ERRORR"]}, [], "level_filter"),
+    ({"level_filter": "ERROR"}, [], "level_filter"),
+    ({"provider": {"kind": "word_vectors"}}, [], "provider"),
+    ({"provider": {"kind": "hashing", "d": "x"}}, [], "provider.d"),
+    ({"provider": {"kind": "hashing", "d": 64.0}}, [], "provider.d"),
+    ({"provider": {"kind": "hashing", "d": 1}}, [], "provider"),
+    ({"algorithm": "GMM", "gmm": {"K": "x"}}, [], "gmm.K"),
+    ({"line_format": _line_format("(")}, [], "line_format"),
+    ({"line_format": _line_format(r"(?P<ts>\S+) (?P<msg>.*)")}, [], "line_format"),
+    ({"line_format": "HDFS"}, [], "line_format"),
+    ({"batch": "2d"}, [], "batch"),
+    ({"batch": {"mode": "FIXED_WINDOW", "window_days": 0}}, [], "batch"),
+    ({"algorithm": "GMMM"}, [], "algorithm"),
+    ({"format": "csv"}, [], "format"),
+    ({"drop_placeholders": True}, [], "drop_placeholders"),
+    ({"continuation": False}, [], "continuation"),
+    (None, [], "config"),
+    ({}, ["--weights", "a,b,c"], "weights"),
+]
+
+
+@pytest.mark.parametrize("extra, flags, field", BAD_CONFIGS)
+def test_bad_config_is_one_config_line_before_input_is_read(
+    tmp_path, capsys, extra, flags, field
+):
+    doc = None if extra is None else {
+        "input": str(tmp_path / "missing.log"), "output_dir": str(tmp_path / "out"), **extra
+    }
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG: ") and err.count("\n") == 1, err
+    assert field in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [e for e, flags, _ in BAD_CONFIGS
+     if e and not flags and set(e) <= set(RunConfig.__dataclass_fields__)],
+)
+def test_run_and_sweep_check_a_config_object(tmp_path, extra):
+    config = RunConfig(input=str(tmp_path / "missing.log"), output_dir=str(tmp_path / "out"))
+    for key, value in extra.items():
+        setattr(config, key, value)
+    with pytest.raises(ConfigError):
+        run(config)
+    with pytest.raises(ConfigError):
+        sweep(config, {"theta": [0.3]})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lowercase_algorithm_and_representative_are_folded(workspace):
+    tmp_path, _, config = workspace
+    config_path = tmp_path / "lower.json"
+    config_path.write_text(json.dumps(dict(config, representative="centroid")))
+    assert RunConfig.from_file(config_path).representative == "CENTROID"
+    report = run(RunConfig(**dict(config, algorithm="gmm", gmm={"K": 3, "seed": 0})))
+    assert report["config"]["algorithm"] == "GMM"
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_VALUES = {
+    "format": st.sampled_from(["loghub", "jsonl"]),
+    "line_format": st.sampled_from(["simple", "HDFS_2", "Linux"])
+    | st.builds(_line_format, st.sampled_from([r"(?P<timestamp>\S+) (?P<text>.*)", "(", "x"])),
+    "level_filter": st.lists(st.sampled_from(["ERROR", "WARN", "OTHER", "error", "ERRORR"])),
+    "batch": st.sampled_from(["1d", "5d", "snapshot30d+5d", "2d"])
+    | st.fixed_dictionaries({"mode": st.sampled_from(["FIXED_WINDOW", "HOURLY"]),
+                             "window_days": st.floats(-1, 10)}),
+    "provider": st.fixed_dictionaries({"kind": st.just("hashing"), "d": st.integers(2, 128)})
+    | st.fixed_dictionaries({"kind": st.sampled_from(["word_vectors", "precomputed"]),
+                             "path": st.just("missing.vec")}),
+    "params": st.fixed_dictionaries({}, optional={
+        "theta": st.floats(-1, 3), "alpha": st.floats(0, 1.5), "gamma": st.integers(-1, 200),
+        "staleness_days": st.floats(-1, 1e12), "reservoir_cap": st.integers(-1, 600),
+    }),
+    "algorithm": st.sampled_from(["ONLINE", "GMM", "online", "gmm", "GMMM"]),
+    "gmm": st.fixed_dictionaries({}, optional={"K": st.integers(-1, 20), "seed": st.integers(-1, 9)}),
+    "weights": st.sampled_from([[1 / 3] * 3, [0.5, 0.25, 0.25], [1, 0, 0], [0.5, 0.5],
+                                [0.5, 0.5, 0.5], [1.5, -0.5, 0]]),
+    "representative": st.sampled_from(["CENTROID", "LEVENSHTEIN", "levenshtein", "medoid"]),
+    "stopwords_path": st.none() | st.just("missing.txt"),
+    "output_dir": st.sampled_from(["out", "deep/out"]),
+}
+# A document of well-typed values, some out of range, with up to two fields or
+# unknown keys then set to any JSON value; or a JSON value that is not an object.
+_CONFIG_DOCS = st.builds(
+    lambda doc, changes: {**doc, **dict(changes)},
+    st.fixed_dictionaries({"input": st.just("missing.log")}, optional=_FIELD_VALUES),
+    st.lists(st.tuples(st.sampled_from(["input", *_FIELD_VALUES]) | st.text(max_size=6), _ANY_JSON),
+             max_size=2),
+) | _ANY_JSON
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_CONFIG_DOCS)
+def test_fuzzed_config_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys, doc):
+    # Every document names a missing input: a valid one ends in IO, any other in CONFIG.
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.split(": ")[0] in ("CONFIG", "IO"), err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 class TestSweep:

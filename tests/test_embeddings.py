@@ -172,3 +172,24 @@ class TestPrecomputed:
         write_precomputed(path, {"r0": np.array([3.0, 4.0])})
         provider = load_precomputed(path)
         np.testing.assert_allclose(provider.vector(seq(source_id="r0")), [0.6, 0.8])
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ("{not json", "not an object with an id and a vector"),
+            ('{"vector": [1.0, 0.0]}', "not an object with an id and a vector"),
+            ('{"id": "r1"}', "not an object with an id and a vector"),
+            ('["r1", [1.0, 0.0]]', "not an object with an id and a vector"),
+            ('{"id": "r1", "vector": ["a", 0.0]}', "not an object with an id and a vector"),
+            ('{"id": "r1", "vector": [null, 0.0]}', "the vector is not a list of numbers"),
+            ('{"id": "r1", "vector": []}', "the vector is not a list of numbers"),
+            ('{"id": "r1", "vector": 1.0}', "the vector is not a list of numbers"),
+            ('{"id": "r1", "vector": [[1.0], [0.0]]}', "the vector is not a list of numbers"),
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line, detail):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "r0", "vector": [1.0, 0.0]}\n' + line + "\n")
+        with pytest.raises(ProviderError, match=f"^{path}:2: {detail}"):
+            load_precomputed(path)
+

@@ -1,5 +1,6 @@
 """Parsing, scrubbing, and temporal batching."""
 
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -11,9 +12,11 @@ from logevo.records import (
     Batch,
     BatchPlan,
     Level,
+    LineFormat,
     map_level,
     parse_loghub_line,
     plan_batches,
+    read_jsonl,
     scrub,
 )
 
@@ -32,6 +35,14 @@ class TestParse:
     def test_garbage_line_raises(self):
         with pytest.raises(ParseError):
             parse_loghub_line("garbage line", SIMPLE)
+
+    @pytest.mark.parametrize(
+        "pattern, detail",
+        [("(", "does not compile"), (r"(?P<ts>\S+) (?P<text>.*)", "lacks a group")],
+    )
+    def test_line_format_needs_a_pattern_with_timestamp_and_text(self, pattern, detail):
+        with pytest.raises(ValueError, match=detail):
+            LineFormat(name="custom", pattern=pattern, timestamp_format="%Y")
 
     def test_linux_sample_hand_parsed(self):
         # Hand-constructed 10-line syslog sample; expectations derived manually.
@@ -173,3 +184,38 @@ class TestBatching:
             BatchPlan.fixed(timedelta(0))
         with pytest.raises(ValueError):
             BatchPlan.snapshot_plus(timedelta(0), timedelta(days=1))
+
+
+class TestJsonl:
+    GOOD = {"timestamp": "2017-05-16T00:00:04Z", "level": "ERROR", "text": "disk full"}
+
+    def read_with_second_line(self, tmp_path, second: str):
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(self.GOOD) + "\n" + second + "\n")
+        return path, lambda: read_jsonl(path)
+
+    def test_good_line(self, tmp_path):
+        _, read = self.read_with_second_line(tmp_path, json.dumps(dict(self.GOOD, timestamp=0)))
+        first, second = read()
+        assert first.timestamp == datetime(2017, 5, 16, 0, 0, 4, tzinfo=timezone.utc)
+        assert second.timestamp == datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+    def test_line_that_is_not_an_object(self, tmp_path):
+        path, read = self.read_with_second_line(tmp_path, "[1, 2]")
+        with pytest.raises(ParseError, match=f"^{path}:2: not an object"):
+            read()
+
+    @pytest.mark.parametrize("missing", ["timestamp", "level", "text"])
+    def test_line_that_lacks_a_field(self, tmp_path, missing):
+        line = json.dumps({k: v for k, v in self.GOOD.items() if k != missing})
+        path, read = self.read_with_second_line(tmp_path, line)
+        with pytest.raises(ParseError, match=f"^{path}:2: not an object with timestamp"):
+            read()
+
+    @pytest.mark.parametrize("timestamp", ["yesterday", None, 1e20, float("nan")])
+    def test_timestamp_neither_iso_nor_a_number(self, tmp_path, timestamp):
+        path, read = self.read_with_second_line(
+            tmp_path, json.dumps(dict(self.GOOD, timestamp=timestamp))
+        )
+        with pytest.raises(ParseError, match=f"^{path}:2: bad timestamp"):
+            read()

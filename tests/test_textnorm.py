@@ -21,10 +21,6 @@ def test_identifier_splitting():
     assert normalize("org.apache.hadoop").tokens == ("org", "apache", "hadoop")
 
 
-def test_placeholder_drop_flag():
-    assert normalize("fail <URL>", keep_placeholders=False).tokens == ("fail",)
-
-
 def test_stemmer_rules():
     assert stem("timeouts") == "timeout"
     assert stem("occurring") == "occur"
