@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -23,7 +23,6 @@ from .errors import NoActiveClusters
 from .records import Batch, LogRecord
 from .representatives import Representative, representative_by_centroid
 
-DEFAULT_RESERVOIR_CAP = 512
 # Distances this close to the minimum are re-scored one by one (nearest_cluster).
 _TIE_SLACK = 1e-9
 
@@ -34,7 +33,7 @@ class HyperParams:
     alpha: float = 0.1
     gamma: int = 100
     staleness: timedelta = timedelta(days=30)
-    reservoir_cap: int = DEFAULT_RESERVOIR_CAP
+    reservoir_cap: int = 512
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 2.0:
@@ -51,44 +50,34 @@ class Cluster:
     """One cluster of a ``ClusterState``.
 
     While the cluster is active its centroid is a row of the state's centroid
-    array, so there is one copy of it; ``cen`` reads a copy of that row and
-    assigning ``cen`` writes the row. Retiring the cluster moves the centroid
-    out of the array into the cluster itself.
+    array, the one place it is stored; ``cen`` reads a copy of that row and
+    assigning ``cen`` writes the row. A retired cluster keeps only its history,
+    its id, size and first and last times seen: retiring frees its centroid,
+    so ``cen`` reads None and cannot be assigned, and empties its reservoir.
     """
 
-    def __init__(
-        self,
-        id: int,
-        cen: np.ndarray,
-        len: int,
-        created_at: datetime,
-        last_updated: datetime,
-        reservoir: Iterable[tuple[str, np.ndarray]] = (),
-        reservoir_cap: int = DEFAULT_RESERVOIR_CAP,
-    ):
+    def __init__(self, id: int, len: int, created_at: datetime, last_updated: datetime, cap: int):
         self.id = id
         self.len = len
         self.created_at = created_at
         self.last_updated = last_updated
-        # (record id, vector), most recent reservoir_cap members, oldest first.
-        self.reservoir: deque[tuple[str, np.ndarray]] = deque(reservoir, maxlen=reservoir_cap)
+        # (record id, vector), the most recent ``cap`` members, oldest first.
+        self.reservoir: deque[tuple[str, np.ndarray]] = deque(maxlen=cap)
         self._state: ClusterState | None = None
         self._row: int | None = None  # row in the state's centroid array while active
-        self._cen: np.ndarray | None = np.array(cen, dtype=float)  # only while retired
 
     @property
-    def cen(self) -> np.ndarray:
+    def cen(self) -> np.ndarray | None:
         if self._row is None:
-            return self._cen
+            return None
         return self._state._cen[self._row].copy()
 
     @cen.setter
     def cen(self, value: np.ndarray) -> None:
         if self._row is None:
-            self._cen = np.array(value, dtype=float)
-        else:
-            self._state._write_row(self._row, value)
-            self._state._stale_reps.add(self.id)
+            raise ValueError(f"cluster {self.id} is retired and has no centroid")
+        self._state._write_row(self._row, value)
+        self._state._stale_reps.add(self.id)
 
     @property
     def active(self) -> bool:
@@ -113,7 +102,6 @@ class AssignmentOutcome:
 @dataclass
 class BatchReport:
     index: int
-    assignments: list[AssignmentOutcome]
     points: list[tuple[np.ndarray, int]]  # (vector, assigned cluster id)
     nr_clust: int  # active clusters at batch end
     reps: dict[int, Representative]
@@ -164,9 +152,8 @@ class ClusterState:
         self._cen[row] = value
         self._norm[row] = np.linalg.norm(self._cen[row])
 
-    def _attach(self, cluster: Cluster) -> None:
+    def _attach(self, cluster: Cluster, cen: np.ndarray) -> None:
         """Append the row of a cluster newer than every active one."""
-        cen = cluster._cen
         n = len(self._rows)
         if n == len(self._norm) or (n == 0 and self._cen.shape[1] != cen.shape[0]):
             capacity = max(2 * n, self._INITIAL_CAPACITY)
@@ -175,17 +162,17 @@ class ClusterState:
                 grown[:n], norms[:n] = self._cen[:n], self._norm[:n]
             self._cen, self._norm = grown, norms
         self._rows.append(cluster)
-        cluster._state, cluster._row, cluster._cen = self, n, None
+        cluster._state, cluster._row = self, n
         self._write_row(n, cen)
 
     def _detach(self, retired: list[Cluster]) -> None:
-        """Move retired clusters' centroids out of the array and compact it."""
+        """Drop retired clusters' rows, compacting the array, and free their reservoirs."""
         n = len(self._rows)
         keep = np.ones(n, dtype=bool)
         for c in retired:
             keep[c._row] = False
-            c._cen = self._cen[c._row].copy()
-            c._row = None
+            c._state, c._row = None, None
+            c.reservoir.clear()
         self._rows = [c for c in self._rows if c._row is not None]
         m = len(self._rows)
         self._cen[:m] = self._cen[:n][keep]
@@ -239,23 +226,17 @@ class ClusterState:
             self._stale_reps.add(cid)
             return AssignmentOutcome(record.id, cid, False, dist)
 
-        c = Cluster(
-            id=self.next_id,
-            cen=p,
-            len=1,
-            created_at=record.timestamp,
-            last_updated=record.timestamp,
-            reservoir=[(record.id, p)],
-            reservoir_cap=params.reservoir_cap,
-        )
+        c = Cluster(self.next_id, 1, record.timestamp, record.timestamp, params.reservoir_cap)
+        c.reservoir.append((record.id, p))
         self.clusters.append(c)
-        self._attach(c)
+        self._attach(c, p)
         return AssignmentOutcome(record.id, c.id, True, dist)
 
     def expire_stale(self, now: datetime) -> list[int]:
         """Retire active clusters idle longer than the staleness window."""
-        cutoff = now - self.params.staleness
-        retired = [c for c in self._rows if c.last_updated < cutoff]
+        # now - staleness can fall before the first representable date for a
+        # long staleness; a difference of two times cannot.
+        retired = [c for c in self._rows if now - c.last_updated > self.params.staleness]
         if retired:
             self._detach(retired)
         return [c.id for c in retired]
@@ -275,12 +256,10 @@ class ClusterState:
         did not change since the last batch keeps its representative.
         """
         expired = self.expire_stale(batch.start)
-        assignments = []
-        points = []
-        for record, vec in zip(batch.records, vectors):
-            outcome = self.ingest_point(record, vec)
-            assignments.append(outcome)
-            points.append((vec, outcome.cluster_id))
+        points = [
+            (vec, self.ingest_point(record, vec).cluster_id)
+            for record, vec in zip(batch.records, vectors)
+        ]
         active = self._rows
         if pick is None:
             pick = representative_by_centroid
@@ -294,7 +273,6 @@ class ClusterState:
         self._stale_reps.clear()
         return BatchReport(
             index=batch.index,
-            assignments=assignments,
             points=points,
             nr_clust=len(active),
             reps=reps,
@@ -305,6 +283,8 @@ class ClusterState:
     # -- persistence ---------------------------------------------------------
 
     def to_snapshot(self) -> dict:
+        """Params, next id and one row per cluster. An active row carries the
+        centroid and the reservoir; a retired row only the cluster's history."""
         return {
             "params": {
                 "theta": self.params.theta,
@@ -314,21 +294,7 @@ class ClusterState:
                 "reservoir_cap": self.params.reservoir_cap,
             },
             "next_id": self.next_id,
-            "clusters": [
-                {
-                    "id": c.id,
-                    "cen": c.cen.tolist(),
-                    "len": c.len,
-                    "created_at": c.created_at.isoformat(),
-                    "last_updated": c.last_updated.isoformat(),
-                    "active": c.active,
-                    "reservoir_ids": [rid for rid, _ in c.reservoir],
-                    "reservoir_vectors": [
-                        np.asarray(vec, dtype=float).tolist() for _, vec in c.reservoir
-                    ],
-                }
-                for c in self.clusters
-            ],
+            "clusters": [_snapshot_row(c) for c in self.clusters],
         }
 
     @classmethod
@@ -340,31 +306,35 @@ class ClusterState:
                 alpha=p["alpha"],
                 gamma=p["gamma"],
                 staleness=timedelta(seconds=p["staleness_seconds"]),
-                reservoir_cap=p.get("reservoir_cap", DEFAULT_RESERVOIR_CAP),
+                reservoir_cap=p["reservoir_cap"],
             )
         )
+        # A retired row written by an older version may still carry a centroid
+        # and a reservoir; they are ignored.
         for cd in doc["clusters"]:
             if cd["id"] != len(state.clusters):
                 raise ValueError(f"snapshot cluster ids are not 0, 1, 2, ...: found {cd['id']}")
-            vectors = cd.get("reservoir_vectors")
-            if vectors is None:
-                vectors = [[] for _ in cd["reservoir_ids"]]
             cluster = Cluster(
                 id=cd["id"],
-                cen=np.array(cd["cen"], dtype=float),
                 len=cd["len"],
                 created_at=datetime.fromisoformat(cd["created_at"]).astimezone(timezone.utc),
                 last_updated=datetime.fromisoformat(cd["last_updated"]).astimezone(timezone.utc),
-                reservoir=[
-                    (rid, np.array(vec, dtype=float))
-                    for rid, vec in zip(cd["reservoir_ids"], vectors)
-                ],
-                reservoir_cap=state.params.reservoir_cap,
+                cap=state.params.reservoir_cap,
             )
             state.clusters.append(cluster)
-            cluster._state = state
             if cd["active"]:
-                state._attach(cluster)
+                cen = np.array(cd["cen"], dtype=float)
+                ids, vectors = cd["reservoir_ids"], cd.get("reservoir_vectors")
+                reservoir = [(rid, np.array(vec, dtype=float)) for rid, vec in zip(ids, vectors or ())]
+                if vectors is None or len(vectors) != len(ids) or any(
+                    vec.shape != cen.shape for _, vec in reservoir
+                ):
+                    raise ValueError(
+                        f"snapshot cluster {cd['id']} needs one reservoir vector of its "
+                        f"centroid's dimension for each of its {len(ids)} reservoir ids"
+                    )
+                cluster.reservoir.extend(reservoir)
+                state._attach(cluster, cen)
         if doc["next_id"] != len(state.clusters):
             raise ValueError(
                 f"snapshot next_id {doc['next_id']} does not follow its "
@@ -381,3 +351,20 @@ class ClusterState:
     @classmethod
     def load(cls, path: str | Path) -> "ClusterState":
         return cls.from_snapshot(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _snapshot_row(c: Cluster) -> dict:
+    row = {
+        "id": c.id,
+        "len": c.len,
+        "created_at": c.created_at.isoformat(),
+        "last_updated": c.last_updated.isoformat(),
+        "active": c.active,
+    }
+    if c.active:
+        row.update(
+            cen=c.cen.tolist(),
+            reservoir_ids=[rid for rid, _ in c.reservoir],
+            reservoir_vectors=[np.asarray(vec, dtype=float).tolist() for _, vec in c.reservoir],
+        )
+    return row

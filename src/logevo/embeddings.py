@@ -91,9 +91,11 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
 class HashingProvider:
     """Signed hashed bag-of-tokens, stable across platforms and processes."""
 
+    MAX_DIM = 4096  # every record keeps its dense vector for the whole run
+
     def __init__(self, dim: int, seed: int = 0):
-        if dim < 2:
-            raise ProviderError("hashing embedder needs dim >= 2")
+        if not 2 <= dim <= self.MAX_DIM:
+            raise ProviderError(f"hashing embedder needs 2 <= dim <= {self.MAX_DIM}, not {dim}")
         self.dim = dim
         self.seed = seed
         self.identity = f"hashing:d={dim}:seed={seed}"

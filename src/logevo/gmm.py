@@ -122,8 +122,3 @@ def assign(points: list[np.ndarray] | np.ndarray, params: GmmParams) -> list[int
     log_r, _ = _log_resp(X, params)
     # argmax takes the lowest index on ties
     return [int(i) for i in np.argmax(log_r, axis=1)]
-
-
-def responsibilities(points: np.ndarray, params: GmmParams) -> np.ndarray:
-    log_r, _ = _log_resp(np.asarray(points, dtype=float), params)
-    return np.exp(log_r)

@@ -77,7 +77,7 @@ class RunConfig:
     def resolved_plan(self) -> BatchPlan:
         if isinstance(self.batch, str):
             return _lookup(_BATCH_SHORTHAND, self.batch, "batch shorthand")
-        days = {k: timedelta(days=v) for k, v in self.batch.items() if k != "mode"}
+        days = {k: _days(k, v) for k, v in self.batch.items() if k != "mode"}
         mode = BatchMode(self.batch["mode"])
         return BatchPlan(mode, days["window_days"], days.get("snapshot_days"))
 
@@ -89,7 +89,7 @@ class RunConfig:
     def resolved_params(self) -> HyperParams:
         p = dict(self.params)
         if "staleness_days" in p:
-            p["staleness"] = timedelta(days=p.pop("staleness_days"))
+            p["staleness"] = _days("staleness_days", p.pop("staleness_days"))
         return HyperParams(**p)
 
     def resolved_provider(self):
@@ -98,6 +98,13 @@ class RunConfig:
             return HashingProvider(dim=spec.get("d", 64), seed=spec.get("seed", 0))
         load = load_word_vectors if spec["kind"] == "word_vectors" else load_precomputed
         return load(spec["path"])
+
+
+def _days(name: str, days: float) -> timedelta:
+    try:
+        return timedelta(days=days)
+    except OverflowError:
+        raise ValueError(f"{name} {days} is beyond the longest duration") from None
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -184,7 +191,13 @@ class Prepared:
 
 
 def prepare(config: RunConfig) -> Prepared:
-    """Ingest, plan batches and embed: the stages that `run` and `sweep` share."""
+    """Ingest, plan batches and embed: the stages that `run` and `sweep` share.
+    The provider and the stopwords load first, and book to embedding time."""
+    t0 = time.perf_counter()
+    provider = config.resolved_provider()
+    load_stopwords(config.stopwords_path)  # cached for embed_records
+    load_s = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     records, skipped = ingest(config)
     if not records:
@@ -192,10 +205,9 @@ def prepare(config: RunConfig) -> Prepared:
     ingest_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    provider = config.resolved_provider()
     batches = plan_batches(records, config.resolved_plan())
     vectors_by_batch = [embed_records(config, list(b.records), provider) for b in batches]
-    embed_s = time.perf_counter() - t0
+    embed_s = load_s + time.perf_counter() - t0
     return Prepared(
         batches,
         vectors_by_batch,
@@ -212,7 +224,7 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
     reports = []
     for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
         if not vecs:
-            reports.append(BatchReport(batch.index, [], [], 0 if params is None else K, {}, []))
+            reports.append(BatchReport(batch.index, [], 0 if params is None else K, {}, []))
             continue
         X = np.array(vecs)
         if params is None:
@@ -232,7 +244,7 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
                 # a mixture component, shaped as the extractor expects a cluster
                 shim = SimpleNamespace(id=k, cen=params.means[k], reservoir=reservoir)
                 reps[k] = representative_by_centroid(shim)
-        reports.append(BatchReport(batch.index, [], points, K, reps, []))
+        reports.append(BatchReport(batch.index, points, K, reps, []))
     return reports
 
 

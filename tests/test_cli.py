@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import time
 from datetime import timedelta
 
 import pytest
@@ -127,6 +128,39 @@ def test_empty_input_is_parse_error(tmp_path, capsys):
     assert err.count("\n") == 1  # single-line diagnostic
 
 
+def test_missing_vectors_file_is_reported_before_the_input_is_read(tmp_path, capsys):
+    input_path = tmp_path / "bad.jsonl"
+    input_path.write_text("{not json\n")
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        "input": str(input_path), "format": "jsonl",
+        "provider": {"kind": "word_vectors", "path": str(tmp_path / "missing.vec")},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("PROVIDER: ") and err.count("\n") == 1, err
+
+
+def test_provider_load_time_counts_as_embedding(tmp_path, monkeypatch):
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, make_evolution_jsonl(days=3, per_kind=2, seed=5))
+    vectors_path = tmp_path / "words.vec"
+    vectors_path.write_text("disk 1 0\nfull 0 1\n")
+    load = pipeline.load_word_vectors
+
+    def slow_load(path):
+        time.sleep(0.3)
+        return load(path)
+
+    monkeypatch.setattr(pipeline, "load_word_vectors", slow_load)
+    prep = pipeline.prepare(RunConfig(
+        input=str(input_path), format="jsonl",
+        provider={"kind": "word_vectors", "path": str(vectors_path)},
+    ))
+    assert prep.timings["embed_s"] >= 0.3 > prep.timings["ingest_s"]
+
+
 def test_missing_config_fields_rejected(tmp_path, capsys):
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps({"input": "x", "bogus_field": 1}))
@@ -235,6 +269,12 @@ BAD_CONFIGS = [
     ({"continuation": False}, [], "continuation"),
     (None, [], "config"),
     ({}, ["--weights", "a,b,c"], "weights"),
+    ({"provider": {"kind": "hashing", "d": 4097}}, [], "4096"),
+    ({"provider": {"kind": "hashing", "d": 1000000000000}}, [], "4096"),
+    ({"params": {"staleness_days": 1e300}}, [], "staleness_days"),
+    ({"batch": {"mode": "FIXED_WINDOW", "window_days": 1e300}}, [], "window_days"),
+    ({"batch": {"mode": "SNAPSHOT_PLUS_WINDOW", "window_days": 1, "snapshot_days": 1e300}},
+     [], "snapshot_days"),
 ]
 
 
@@ -320,13 +360,14 @@ _CONFIG_DOCS = st.builds(
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_CONFIG_DOCS)
 def test_fuzzed_config_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys, doc):
-    # Every document names a missing input: a valid one ends in IO, any other in CONFIG.
+    # Every document names a missing input: a valid one ends in IO, or in PROVIDER when
+    # its vectors file is missing too, since that file is loaded first; any other in CONFIG.
     monkeypatch.chdir(tmp_path)
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.split(": ")[0] in ("CONFIG", "IO"), err
+    assert err.count("\n") == 1 and err.split(": ")[0] in ("CONFIG", "IO", "PROVIDER"), err
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 

@@ -13,6 +13,19 @@ from logevo.records import Batch, BatchPlan, plan_batches
 from helpers import T0, record, replay_online, unit_vectors
 
 
+def daily_batches(points, per_day):
+    """(batch, vectors) pairs of ``per_day`` points a day, one batch a day from T0."""
+    out = []
+    for index, first in enumerate(range(0, len(points), per_day)):
+        start = T0 + timedelta(days=index)
+        vecs = list(points[first:first + per_day])
+        records = tuple(
+            record(f"p{first + i}", ts=start + timedelta(hours=i)) for i in range(len(vecs))
+        )
+        out.append((Batch(index, start, start + timedelta(days=1), records), vecs))
+    return out
+
+
 def state_with_centroids(*centroids, **kw):
     state = ClusterState(HyperParams(**kw))
     for i, cen in enumerate(centroids):
@@ -102,8 +115,13 @@ class TestNearestMatchesLoop:
             state.ingest_point(record(f"p{i}", ts=T0 + timedelta(days=i % 10)), p)
         state.expire_stale(T0 + timedelta(days=10))
         for c in state.clusters:
-            np.testing.assert_array_equal(c.cen, points[c.id])
             assert c.active == (c.id % 10 >= 5)
+            if c.active:
+                np.testing.assert_array_equal(c.cen, points[c.id])
+            else:  # a retired cluster keeps only its history
+                assert c.cen is None and not c.reservoir
+                with pytest.raises(ValueError, match="retired"):
+                    c.cen = points[c.id]
 
 
 class TestIngest:
@@ -185,7 +203,7 @@ class TestProcessBatch:
     def test_empty_batch_census_only(self):
         state = state_with_centroids((1, 0))
         report = state.process_batch(self._batch([]), [])
-        assert report.assignments == []
+        assert report.points == []
         assert report.nr_clust == 1
 
     def test_antipodal_stream_matches_replay(self):
@@ -201,7 +219,7 @@ class TestProcessBatch:
         report = state.process_batch(self._batch(vecs), vecs)
         assert report.nr_clust == 2
         clusters, assignments = replay_online(points, theta=0.3, alpha=0.1, gamma=100)
-        assert [a.cluster_id for a in report.assignments] == [c for c, _ in assignments]
+        assert [cid for _, cid in report.points] == [c for c, _ in assignments]
         for oracle in clusters:
             np.testing.assert_allclose(
                 state.get(oracle.id).cen, oracle.cen, atol=1e-12
@@ -214,6 +232,12 @@ class TestExpiry:
         expired = state.expire_stale(T0 + timedelta(days=31))
         assert expired == [0]
         assert not state.get(0).active
+
+    def test_longest_staleness_expires_nothing(self):
+        # now - staleness would fall before the first representable date
+        state = state_with_centroids((1, 0), staleness=timedelta(days=999_999_999))
+        assert state.expire_stale(T0 + timedelta(days=1)) == []
+        assert state.get(0).active
 
     def test_fresh_cluster_untouched(self):
         state = state_with_centroids((1, 0))
@@ -336,22 +360,71 @@ class TestPersistence:
 
     def test_reload_reproduces_subsequent_behavior(self, tmp_path):
         rng = np.random.default_rng(9)
-        points = unit_vectors(rng, 80, 5)
-        cont = ClusterState(HyperParams(theta=0.4))
-        for i, p in enumerate(points[:40]):
-            cont.ingest_point(record(f"p{i}"), p)
-        path = tmp_path / "state.json"
-        cont.save(path)
-        resumed = ClusterState.load(path)
-        tail_cont = [
-            cont.ingest_point(record(f"p{40 + i}"), p)
-            for i, p in enumerate(points[40:])
-        ]
-        tail_res = [
-            resumed.ingest_point(record(f"p{40 + i}"), p)
-            for i, p in enumerate(points[40:])
-        ]
-        assert [a.cluster_id for a in tail_cont] == [a.cluster_id for a in tail_res]
+        batches = daily_batches(unit_vectors(rng, 160, 5), per_day=10)
+        for older_format in (False, True):
+            cont = ClusterState(HyperParams(theta=0.4, staleness=timedelta(days=2)))
+            members: dict[int, list] = {}  # cluster id -> [(record id, vector)]
+            for batch, vecs in batches[:8]:
+                report = cont.process_batch(batch, vecs)
+                for rec, (vec, cid) in zip(batch.records, report.points):
+                    members.setdefault(cid, []).append((rec.id, vec))
+            retired = [c.id for c in cont.clusters if not c.active]
+            assert retired and cont.active_clusters()
+            doc = cont.to_snapshot()
+            if older_format:
+                # Older versions kept a retired cluster's centroid and reservoir.
+                for cid in retired:
+                    ids, vecs = zip(*members[cid])
+                    doc["clusters"][cid].update(
+                        cen=np.mean(vecs, axis=0).tolist(),
+                        reservoir_ids=list(ids),
+                        reservoir_vectors=[v.tolist() for v in vecs],
+                    )
+            path = tmp_path / f"state_{older_format}.json"
+            path.write_text(json.dumps(doc))
+            resumed = ClusterState.load(path)
+            assert resumed.to_snapshot() == cont.to_snapshot()
+            for batch, vecs in batches[8:]:
+                a, b = cont.process_batch(batch, vecs), resumed.process_batch(batch, vecs)
+                assert [cid for _, cid in a.points] == [cid for _, cid in b.points]
+                assert (a.nr_clust, a.expired, a.sizes) == (b.nr_clust, b.expired, b.sizes)
+                assert [(r.record_id, r.score) for r in a.reps.values()] == [
+                    (r.record_id, r.score) for r in b.reps.values()
+                ]
+            assert len(cont.clusters) > len(doc["clusters"])
+            assert resumed.to_snapshot() == cont.to_snapshot()
+
+    def test_retired_rows_hold_only_history(self):
+        rng = np.random.default_rng(12)
+        state = ClusterState(HyperParams(theta=0.4, staleness=timedelta(days=2)))
+        for batch, vecs in daily_batches(unit_vectors(rng, 60, 5), per_day=10):
+            state.process_batch(batch, vecs)
+        rows = state.to_snapshot()["clusters"]
+        history = {"id", "len", "created_at", "last_updated", "active"}
+        assert {frozenset(r) for r in rows} == {
+            frozenset(history),
+            frozenset(history | {"cen", "reservoir_ids", "reservoir_vectors"}),
+        }
+        assert all(r["active"] == ("cen" in r) for r in rows)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: row.pop("reservoir_vectors"),
+            lambda row: row["reservoir_vectors"].pop(),
+            lambda row: row["reservoir_vectors"].__setitem__(0, []),
+        ],
+        ids=["missing", "too_few", "wrong_dimension"],
+    )
+    def test_rejects_active_row_without_its_reservoir_vectors(self, damage):
+        rng = np.random.default_rng(13)
+        state = ClusterState(HyperParams(theta=0.4))
+        for i, p in enumerate(unit_vectors(rng, 20, 5)):
+            state.ingest_point(record(f"p{i}"), p)
+        doc = state.to_snapshot()
+        damage(doc["clusters"][3])
+        with pytest.raises(ValueError, match="snapshot cluster 3 "):
+            ClusterState.from_snapshot(doc)
 
     def test_reservoir_cap_ring(self):
         state = ClusterState(HyperParams(theta=2.0, reservoir_cap=5))

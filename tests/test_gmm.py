@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logevo.errors import DegenerateInput
-from logevo.gmm import assign, fit_batch, fresh_params, responsibilities
+from logevo.gmm import assign, fit_batch, fresh_params
 
 
 def blobs(rng, centers, n_per, scale=0.05):
@@ -105,10 +105,3 @@ class TestAssign:
                 )
                 dens.append(np.log(params.mixing[k]) + log_d)
             assert lab == int(np.argmax(dens))
-
-    def test_responsibilities_sum_to_one(self):
-        rng = np.random.default_rng(38)
-        params = self._params()
-        X = rng.normal(size=(30, 2))
-        resp = responsibilities(X, params)
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
