@@ -61,8 +61,8 @@ class Cluster:
         self.len = len
         self.created_at = created_at
         self.last_updated = last_updated
-        # (record id, vector), the most recent ``cap`` members, oldest first.
-        self.reservoir: deque[tuple[str, np.ndarray]] = deque(maxlen=cap)
+        # (record id, scrubbed text, vector), the most recent ``cap`` members, oldest first.
+        self.reservoir: deque[tuple[str, str, np.ndarray]] = deque(maxlen=cap)
         self._state: ClusterState | None = None
         self._row: int | None = None  # row in the state's centroid array while active
 
@@ -186,8 +186,9 @@ class ClusterState:
         if n == 0:
             raise NoActiveClusters("no active clusters")
         p_norm = np.linalg.norm(p)
-        dist = 1.0 - (self._cen[:n] @ p) / (self._norm[:n] * p_norm)
-        best = np.fmin.reduce(dist)  # skips NaN, from a zero centroid
+        with np.errstate(invalid="ignore"):  # a zero centroid gives 0/0
+            dist = 1.0 - (self._cen[:n] @ p) / (self._norm[:n] * p_norm)
+        best = np.fmin.reduce(dist)  # skips the NaN
         if np.isnan(best):
             raise NoActiveClusters("no active cluster has a defined distance")
         # The matrix product may round equal rows differently, so the rows
@@ -222,12 +223,12 @@ class ClusterState:
             self._norm[c._row] = np.linalg.norm(row)
             c.len += 1
             c.last_updated = record.timestamp
-            c.reservoir.append((record.id, p))
+            c.reservoir.append((record.id, record.scrubbed_text, p))
             self._stale_reps.add(cid)
             return AssignmentOutcome(record.id, cid, False, dist)
 
         c = Cluster(self.next_id, 1, record.timestamp, record.timestamp, params.reservoir_cap)
-        c.reservoir.append((record.id, p))
+        c.reservoir.append((record.id, record.scrubbed_text, p))
         self.clusters.append(c)
         self._attach(c, p)
         return AssignmentOutcome(record.id, c.id, True, dist)
@@ -324,14 +325,17 @@ class ClusterState:
             state.clusters.append(cluster)
             if cd["active"]:
                 cen = np.array(cd["cen"], dtype=float)
-                ids, vectors = cd["reservoir_ids"], cd.get("reservoir_vectors")
-                reservoir = [(rid, np.array(vec, dtype=float)) for rid, vec in zip(ids, vectors or ())]
-                if vectors is None or len(vectors) != len(ids) or any(
-                    vec.shape != cen.shape for _, vec in reservoir
+                ids, texts = cd["reservoir_ids"], cd.get("reservoir_texts")
+                vectors = cd.get("reservoir_vectors")
+                reservoir = [(rid, text, np.array(vec, dtype=float))
+                             for rid, text, vec in zip(ids, texts or (), vectors or ())]
+                # A resumed run writes its representatives from these texts.
+                if texts is None or vectors is None or not len(ids) == len(texts) == len(vectors) or any(
+                    vec.shape != cen.shape for *_, vec in reservoir
                 ):
                     raise ValueError(
-                        f"snapshot cluster {cd['id']} needs one reservoir vector of its "
-                        f"centroid's dimension for each of its {len(ids)} reservoir ids"
+                        f"snapshot cluster {cd['id']} needs one reservoir text and one reservoir "
+                        f"vector of its centroid's dimension for each of its {len(ids)} reservoir ids"
                     )
                 cluster.reservoir.extend(reservoir)
                 state._attach(cluster, cen)
@@ -364,7 +368,8 @@ def _snapshot_row(c: Cluster) -> dict:
     if c.active:
         row.update(
             cen=c.cen.tolist(),
-            reservoir_ids=[rid for rid, _ in c.reservoir],
-            reservoir_vectors=[np.asarray(vec, dtype=float).tolist() for _, vec in c.reservoir],
+            reservoir_ids=[rid for rid, _, _ in c.reservoir],
+            reservoir_texts=[text for _, text, _ in c.reservoir],
+            reservoir_vectors=[np.asarray(vec, dtype=float).tolist() for *_, vec in c.reservoir],
         )
     return row

@@ -37,10 +37,9 @@ def _l2_normalize(v: np.ndarray, dim: int) -> np.ndarray:
 class WordAveragingProvider:
     """Averages per-token word vectors; out-of-vocabulary tokens are skipped."""
 
-    def __init__(self, vocab: dict[str, np.ndarray], dim: int, identity: str):
+    def __init__(self, vocab: dict[str, np.ndarray], dim: int):
         self.vocab = vocab
         self.dim = dim
-        self.identity = identity
 
     def vector(self, seq: TokenSeq) -> np.ndarray:
         hits = [self.vocab[t] for t in seq.tokens if t in self.vocab]
@@ -85,7 +84,7 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
         vocab[token] = vec
     if dim is None or not vocab:
         raise ProviderError(f"{path}: no word vectors found")
-    return WordAveragingProvider(vocab, dim, identity=f"word-vectors:{path}")
+    return WordAveragingProvider(vocab, dim)
 
 
 class HashingProvider:
@@ -98,7 +97,6 @@ class HashingProvider:
             raise ProviderError(f"hashing embedder needs 2 <= dim <= {self.MAX_DIM}, not {dim}")
         self.dim = dim
         self.seed = seed
-        self.identity = f"hashing:d={dim}:seed={seed}"
 
     def _slot(self, token: str) -> tuple[int, float]:
         digest = hashlib.blake2b(
@@ -121,10 +119,9 @@ class HashingProvider:
 class PrecomputedProvider:
     """Looks vectors up by record id; the route for offline sentence embeddings."""
 
-    def __init__(self, table: dict[str, np.ndarray], dim: int, identity: str):
+    def __init__(self, table: dict[str, np.ndarray], dim: int):
         self.table = table
         self.dim = dim
-        self.identity = identity
 
     def vector(self, seq: TokenSeq) -> np.ndarray:
         vec = self.table.get(seq.source_id)
@@ -163,7 +160,7 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
         raise ProviderError(f"cannot read precomputed vectors from {path}: {exc}") from exc
     if dim is None:
         raise ProviderError(f"{path}: no vectors found")
-    return PrecomputedProvider(table, dim, identity=f"precomputed:{path}")
+    return PrecomputedProvider(table, dim)
 
 
 def write_precomputed(path: str | Path, table: dict[str, np.ndarray]) -> None:

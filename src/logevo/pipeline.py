@@ -6,8 +6,7 @@ import csv
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from datetime import timedelta
-from functools import partial
+from datetime import datetime, timedelta
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -77,7 +76,7 @@ class RunConfig:
     def resolved_plan(self) -> BatchPlan:
         if isinstance(self.batch, str):
             return _lookup(_BATCH_SHORTHAND, self.batch, "batch shorthand")
-        days = {k: _days(k, v) for k, v in self.batch.items() if k != "mode"}
+        days = {k: _days(k, v, _CALENDAR) for k, v in self.batch.items() if k != "mode"}
         mode = BatchMode(self.batch["mode"])
         return BatchPlan(mode, days["window_days"], days.get("snapshot_days"))
 
@@ -100,11 +99,18 @@ class RunConfig:
         return load(spec["path"])
 
 
-def _days(name: str, days: float) -> timedelta:
+# No batch can be longer than the calendar it is planned on.
+_CALENDAR = datetime.max - datetime.min
+
+
+def _days(name: str, days: float, longest: timedelta = timedelta.max) -> timedelta:
     try:
-        return timedelta(days=days)
+        span = timedelta(days=days)
     except OverflowError:
-        raise ValueError(f"{name} {days} is beyond the longest duration") from None
+        span = None
+    if span is None or span > longest:
+        raise ValueError(f"{name} {days} is longer than {longest.days} days")
+    return span
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -152,12 +158,21 @@ def check_config(doc) -> RunConfig:
         ("level_filter", lambda: [Level(lv) for lv in config.level_filter]),
         ("weights", lambda: score_LCE(0.0, 0.0, 0.0, tuple(config.weights))),
         ("provider", lambda: config.provider["kind"] != "hashing" or config.resolved_provider()),
+        ("representative", lambda: _gmm_representative(config)),
     ):
         try:
             rule()
         except (ValueError, OverflowError, LogevoError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     return config
+
+
+def _gmm_representative(config: RunConfig) -> None:
+    if config.algorithm == "GMM" and config.representative != "CENTROID":
+        raise ValueError(
+            f"{config.representative} is not available with GMM, which represents each "
+            "component by the member nearest its mean: use CENTROID"
+        )
 
 
 def ingest(config: RunConfig) -> tuple[list[LogRecord], int]:
@@ -184,7 +199,6 @@ class Prepared:
 
     batches: list[Batch]
     vectors_by_batch: list[list[np.ndarray]]
-    texts: dict[str, str]  # record id -> scrubbed text
     n_records: int
     skipped: int
     timings: dict[str, float]
@@ -209,12 +223,7 @@ def prepare(config: RunConfig) -> Prepared:
     vectors_by_batch = [embed_records(config, list(b.records), provider) for b in batches]
     embed_s = load_s + time.perf_counter() - t0
     return Prepared(
-        batches,
-        vectors_by_batch,
-        {r.id: r.scrubbed_text for r in records},
-        len(records),
-        skipped,
-        {"ingest_s": ingest_s, "embed_s": embed_s},
+        batches, vectors_by_batch, len(records), skipped, {"ingest_s": ingest_s, "embed_s": embed_s}
     )
 
 
@@ -232,28 +241,24 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
         else:
             params = gmm.fit_batch(X, params)
         labels = gmm.assign(X, params)
-        points = list(zip(vecs, labels))
-        reps = {}
-        for k in range(K):
-            reservoir = [
-                (rec.id, vec)
-                for rec, vec, lab in zip(batch.records, vecs, labels)
-                if lab == k
-            ]
-            if reservoir:
-                # a mixture component, shaped as the extractor expects a cluster
-                shim = SimpleNamespace(id=k, cen=params.means[k], reservoir=reservoir)
-                reps[k] = representative_by_centroid(shim)
-        reports.append(BatchReport(batch.index, points, K, reps, []))
+        members = [[] for _ in range(K)]
+        for rec, vec, k in zip(batch.records, vecs, labels):
+            members[k].append((rec.id, rec.scrubbed_text, vec))
+        # each mixture component, shaped as the extractor expects a cluster
+        reps = {
+            k: representative_by_centroid(SimpleNamespace(id=k, cen=params.means[k], reservoir=m))
+            for k, m in enumerate(members) if m
+        }
+        sizes = {k: len(members[k]) for k in reps}
+        reports.append(BatchReport(batch.index, list(zip(vecs, labels)), K, reps, [], sizes))
     return reports
 
 
 def _online_process(
     config: RunConfig, prep: Prepared, state: ClusterState
 ) -> list[BatchReport]:
-    pick = None  # the reservoir member nearest the centroid
-    if config.representative == "LEVENSHTEIN":
-        pick = partial(representative_by_levenshtein, texts=prep.texts)
+    # None picks the reservoir member nearest the centroid
+    pick = representative_by_levenshtein if config.representative == "LEVENSHTEIN" else None
     return [
         state.process_batch(batch, vecs, pick)
         for batch, vecs in zip(prep.batches, prep.vectors_by_batch)
@@ -322,8 +327,8 @@ def _write_outputs(
                 row = {
                     "batch_index": report.index,
                     "id": cid,
-                    "len": report.sizes.get(cid),
-                    "representative": prep.texts.get(rep.record_id, rep.text),
+                    "len": report.sizes[cid],
+                    "representative": rep.text,
                     "score": rep.score,
                 }
                 fh.write(json.dumps(row, sort_keys=True) + "\n")

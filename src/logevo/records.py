@@ -166,10 +166,13 @@ def read_loghub_file(path: str | Path, fmt: LineFormat) -> tuple[list[LogRecord]
 
 
 def read_jsonl(path: str | Path) -> list[LogRecord]:
-    """Read records from JSONL with fields {id?, timestamp, level, text, source?}."""
+    """Read records from JSONL with fields {id?, timestamp, level, text, source?}.
+
+    Bytes that are not UTF-8 read as U+FFFD, as in ``read_loghub_file``.
+    """
     records = []
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -185,6 +188,8 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
                     ts = datetime.fromtimestamp(ts_raw, tz=timezone.utc)
                 else:
                     ts = datetime.fromisoformat(str(ts_raw).replace("Z", "+00:00"))
+                    if ts.tzinfo is not None:  # in UTC it may fall outside years 1 to 9999
+                        ts = ts.astimezone(timezone.utc)
             except (ValueError, OverflowError, OSError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad timestamp: {exc}") from exc
             records.append(
@@ -234,11 +239,20 @@ class Batch:
     records: tuple[LogRecord, ...] = field(default_factory=tuple)
 
 
+_END_OF_TIME = datetime.max.replace(tzinfo=timezone.utc)
+
+
+def _later(t: datetime, span: timedelta) -> datetime:
+    """``t + span``, or the last representable time when that lies beyond it."""
+    return t + span if span < _END_OF_TIME - t else _END_OF_TIME
+
+
 def plan_batches(records: list[LogRecord], plan: BatchPlan) -> list[Batch]:
     """Slice a record stream into consecutive temporal batches.
 
     Windows are anchored at midnight UTC of the first record's day. Empty
     windows are emitted as empty batches; the cluster-count metric needs them.
+    A window that would end past the calendar ends at its last representable time.
     """
     if not records:
         raise EmptyStream("cannot batch an empty record stream")
@@ -249,11 +263,11 @@ def plan_batches(records: list[LogRecord], plan: BatchPlan) -> list[Batch]:
     bounds: list[tuple[datetime, datetime]] = []
     cursor = anchor
     if plan.mode is BatchMode.SNAPSHOT_PLUS_WINDOW:
-        bounds.append((cursor, cursor + plan.snapshot))
-        cursor += plan.snapshot
+        bounds.append((cursor, _later(cursor, plan.snapshot)))
+        cursor = bounds[-1][1]
     while cursor <= last:
-        bounds.append((cursor, cursor + plan.window))
-        cursor += plan.window
+        bounds.append((cursor, _later(cursor, plan.window)))
+        cursor = bounds[-1][1]
 
     batches = []
     i = 0

@@ -23,20 +23,21 @@ class Representative:
 def representative_by_centroid(cluster) -> Representative:
     """The reservoir member most cosine-similar to the centroid.
 
-    Ties break toward the earliest reservoir insertion, so repeated calls on
-    an unchanged cluster are stable.
+    Members are unit rows, so a member's cosine is its dot product with the
+    unit centroid; against a zero centroid every member scores 0. Ties break
+    toward the earliest reservoir insertion, so repeated calls on an unchanged
+    cluster are stable.
     """
     if not cluster.reservoir:
         raise EmptyReservoir(f"cluster {cluster.id} has an empty reservoir")
     cen = cluster.cen
-    cen_norm = float(np.linalg.norm(cen))
-    best_idx, best_score = 0, -np.inf
-    for idx, (_, vec) in enumerate(cluster.reservoir):
-        score = float(np.dot(vec, cen)) / (float(np.linalg.norm(vec)) * cen_norm)
-        if score > best_score:
-            best_idx, best_score = idx, score
-    rid, vec = cluster.reservoir[best_idx]
-    return Representative(cluster.id, rid, best_score, vec)
+    norm = np.linalg.norm(cen)
+    u = cen / norm if norm else cen  # zero for a zero centroid: every member scores 0
+    # Row by row: a matrix product may round identical members differently.
+    scores = (np.array([vec for _, _, vec in cluster.reservoir]) * u).sum(axis=1)
+    best = int(np.argmax(scores))
+    rid, text, vec = cluster.reservoir[best]
+    return Representative(cluster.id, rid, float(scores[best]), vec, text)
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -58,7 +59,6 @@ def levenshtein(a: str, b: str) -> int:
 
 def representative_by_levenshtein(
     cluster,
-    texts: dict[str, str],
     cap: int = LEVENSHTEIN_CAP,
     force: bool = False,
 ) -> Representative:
@@ -74,7 +74,7 @@ def representative_by_levenshtein(
         raise TooLarge(
             f"cluster {cluster.id} reservoir has {len(members)} members (cap {cap})"
         )
-    strings = [texts[rid] for rid, _ in members]
+    strings = [text for _, text, _ in members]
     n = len(strings)
     dist = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -83,5 +83,5 @@ def representative_by_levenshtein(
             dist[i][j] = dist[j][i] = d
     sums = [sum(row) for row in dist]
     best_idx = min(range(n), key=lambda i: (sums[i], i))
-    rid, vec = members[best_idx]
-    return Representative(cluster.id, rid, -float(sums[best_idx]), vec, strings[best_idx])
+    rid, text, vec = members[best_idx]
+    return Representative(cluster.id, rid, -float(sums[best_idx]), vec, text)

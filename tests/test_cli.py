@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import re
 import time
 from datetime import timedelta
 
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logevo import pipeline
 from logevo.cli import main
+from logevo.clustering import ClusterState
 from logevo.errors import ConfigError
 from logevo.pipeline import RunConfig, run, sweep
 
@@ -195,6 +197,10 @@ def test_levenshtein_mode(workspace):
     assert 0.0 <= report["score"]["lce"] <= 1.0
 
 
+def clusters_lines(out_dir):
+    return [json.loads(line) for line in (out_dir / "clusters.jsonl").read_text().splitlines()]
+
+
 def test_clusters_jsonl_len_is_size_as_of_batch(tmp_path):
     # three families, each fed every day for ten daily batches
     input_path = tmp_path / "events.jsonl"
@@ -202,7 +208,7 @@ def test_clusters_jsonl_len_is_size_as_of_batch(tmp_path):
     out_dir = tmp_path / "out"
     run(RunConfig(input=str(input_path), format="jsonl", params={"theta": 0.3},
                   output_dir=str(out_dir)))
-    lines = [json.loads(line) for line in (out_dir / "clusters.jsonl").open()]
+    lines = clusters_lines(out_dir)
     sizes: dict[int, list[int]] = {}
     for row in lines:
         sizes.setdefault(row["id"], []).append(row["len"])
@@ -215,6 +221,64 @@ def test_clusters_jsonl_len_is_size_as_of_batch(tmp_path):
         seq = sizes[cid]
         assert all(a < b for a, b in zip(seq, seq[1:])), seq
         assert seq[-1] == final[cid]
+
+
+# Each family sends five records a day. The quadratic edit-distance medoid gets a
+# reservoir of six, so one member from before the cut is still in it after the cut.
+@pytest.mark.parametrize("representative, reservoir_cap", [("CENTROID", 512), ("LEVENSHTEIN", 6)])
+def test_resumed_run_writes_what_an_uninterrupted_run_writes(tmp_path, representative, reservoir_cap):
+    records = make_evolution_jsonl(days=10, per_kind=4, seed=5)
+    cut = T0 + timedelta(days=5)
+    parts = {"whole": records, "first": [r for r in records if r.timestamp < cut],
+             "second": [r for r in records if r.timestamp >= cut]}
+    for name, part in parts.items():
+        write_jsonl(tmp_path / f"{name}.jsonl", part)
+        state = ClusterState.load(tmp_path / "first" / "state.json") if name == "second" else None
+        run(RunConfig(input=str(tmp_path / f"{name}.jsonl"), format="jsonl",
+                      params={"theta": 0.3, "reservoir_cap": reservoir_cap},
+                      representative=representative, output_dir=str(tmp_path / name)), state)
+    whole = [row for row in clusters_lines(tmp_path / "whole") if row["batch_index"] >= 5]
+    resumed = [dict(row, batch_index=row["batch_index"] + 5)
+               for row in clusters_lines(tmp_path / "second")]
+    assert resumed == whole
+    assert all(row["representative"] for row in whole)
+    assert (tmp_path / "second" / "state.json").read_text() == (
+        tmp_path / "whole" / "state.json").read_text()
+
+
+def test_zero_centroid_run(tmp_path, capsys):
+    # tok3 and tok10 hash to one slot with opposite signs (d 64, seed 0), so at
+    # theta 2 they merge into a cluster whose centroid is exactly zero.
+    input_path = tmp_path / "zero.jsonl"
+    with input_path.open("w") as fh:
+        for day in range(2):
+            for hour, text in enumerate(("tok3", "tok10", "disk full", "disk full")):
+                ts = T0 + timedelta(days=day, hours=hour)
+                fh.write(json.dumps({"timestamp": ts.isoformat(), "level": "ERROR",
+                                     "text": text}) + "\n")
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        "input": str(input_path), "format": "jsonl", "params": {"theta": 2.0},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().err == ""
+    zero = [row for row in clusters_lines(tmp_path / "out") if row["id"] == 0]
+    assert zero and all(
+        (row["representative"], row["score"]) == ("tok3", 0.0) for row in zero
+    )
+
+
+def test_gmm_len_is_the_component_size_in_the_batch(tmp_path):
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, make_evolution_jsonl(days=4, per_kind=4, seed=5))
+    out_dir = tmp_path / "out"
+    report = run(RunConfig(input=str(input_path), format="jsonl", algorithm="GMM",
+                           gmm={"K": 3, "seed": 0}, output_dir=str(out_dir)))
+    lines = clusters_lines(out_dir)
+    for batch in report["batches"]:
+        sizes = [row["len"] for row in lines if row["batch_index"] == batch["index"]]
+        assert all(n >= 1 for n in sizes) and sum(sizes) == batch["n_records"]
 
 
 @pytest.mark.parametrize(
@@ -275,6 +339,11 @@ BAD_CONFIGS = [
     ({"batch": {"mode": "FIXED_WINDOW", "window_days": 1e300}}, [], "window_days"),
     ({"batch": {"mode": "SNAPSHOT_PLUS_WINDOW", "window_days": 1, "snapshot_days": 1e300}},
      [], "snapshot_days"),
+    ({"batch": {"mode": "FIXED_WINDOW", "window_days": 1e8}}, [], "batch: window_days"),
+    ({"batch": {"mode": "SNAPSHOT_PLUS_WINDOW", "window_days": 1, "snapshot_days": 1e8}},
+     [], "batch: snapshot_days"),
+    ({"algorithm": "GMM", "representative": "LEVENSHTEIN"}, [], "representative"),
+    ({}, ["--algo", "gmm", "--rep", "levenshtein"], "representative"),
 ]
 
 
@@ -369,6 +438,52 @@ def test_fuzzed_config_is_one_line_and_writes_nothing(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.split(": ")[0] in ("CONFIG", "IO", "PROVIDER"), err
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+_GOOD_ROW = st.fixed_dictionaries(
+    # Parsed timestamps stay within ten days: an outlier timestamp plans one batch a day up to it.
+    {"timestamp": st.integers(0, 10 * 86400 - 1).map(lambda s: (T0 + timedelta(seconds=s)).isoformat()),
+     "level": st.sampled_from(["ERROR", "error", "FATAL"]),
+     "text": st.sampled_from(["disk full", "disk quota exceeded", "connection reset by peer",
+                              "checksum mismatch in segment 7", ""])},
+    optional={"id": st.sampled_from(["a", "b", "c"]), "source": _ANY_JSON},
+)
+_BAD_TIMESTAMPS = st.sampled_from([None, "", "yesterday", "2017-13-45", "Z", [], {},
+                                   float("nan"), float("inf"), 1e300, -1e300])
+_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12)
+_BAD_LINE = (
+    # a row that lacks a key
+    st.tuples(_GOOD_ROW, st.sampled_from(["timestamp", "level", "text"])).map(
+        lambda rk: json.dumps({k: v for k, v in rk[0].items() if k != rk[1]}))
+    # a row with a value of the wrong type
+    | st.tuples(_GOOD_ROW, st.sampled_from(["level", "text", "id"]), _ANY_JSON).map(
+        lambda rkv: json.dumps({**rkv[0], rkv[1]: rkv[2]}))
+    | st.tuples(_GOOD_ROW, _BAD_TIMESTAMPS).map(lambda rt: json.dumps({**rt[0], "timestamp": rt[1]}))
+    # a line that is not an object, or not JSON at all
+    | _ANY_JSON.filter(lambda v: not isinstance(v, dict)).map(json.dumps)
+    | _TEXT
+)
+# Good rows with up to two bad lines among them.
+_LINES = st.tuples(
+    st.lists(_GOOD_ROW.map(json.dumps), min_size=1, max_size=12), st.lists(_BAD_LINE, max_size=2)
+).flatmap(lambda good_bad: st.permutations(good_bad[0] + good_bad[1]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_LINES, bad_bytes=st.booleans())
+def test_fuzzed_input_exits_cleanly(tmp_path, capsys, lines, bad_bytes):
+    input_path = tmp_path / "events.jsonl"
+    data = "\n".join(lines).encode()
+    input_path.write_bytes(data + b"\n\xff\xfe broken\n" if bad_bytes else data)
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        "input": str(input_path), "format": "jsonl", "params": {"theta": 0.3},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    code = main(["run", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert err == "" if code == 0 else re.fullmatch(r"[A-Z]+: [^\n]*\n", err), err
 
 
 class TestSweep:

@@ -321,7 +321,7 @@ class TestPersistence:
         points = unit_vectors(rng, 40, 5)
         state = ClusterState(HyperParams(theta=0.4))
         for i, p in enumerate(points):
-            state.ingest_point(record(f"p{i}"), p)
+            state.ingest_point(record(f"p{i}", f"text {i}"), p)
         path = tmp_path / "state.json"
         state.save(path)
         loaded = ClusterState.load(path)
@@ -330,7 +330,9 @@ class TestPersistence:
         for a, b in zip(state.clusters, loaded.clusters):
             assert (a.id, a.len, a.active) == (b.id, b.len, b.active)
             np.testing.assert_array_equal(a.cen, b.cen)
-            assert [rid for rid, _ in a.reservoir] == [rid for rid, _ in b.reservoir]
+            assert [(rid, text) for rid, text, _ in a.reservoir] == [
+                (rid, text) for rid, text, _ in b.reservoir
+            ]
 
     def test_reads_indented_snapshot(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -403,7 +405,7 @@ class TestPersistence:
         history = {"id", "len", "created_at", "last_updated", "active"}
         assert {frozenset(r) for r in rows} == {
             frozenset(history),
-            frozenset(history | {"cen", "reservoir_ids", "reservoir_vectors"}),
+            frozenset(history | {"cen", "reservoir_ids", "reservoir_texts", "reservoir_vectors"}),
         }
         assert all(r["active"] == ("cen" in r) for r in rows)
 
@@ -413,8 +415,10 @@ class TestPersistence:
             lambda row: row.pop("reservoir_vectors"),
             lambda row: row["reservoir_vectors"].pop(),
             lambda row: row["reservoir_vectors"].__setitem__(0, []),
+            lambda row: row.pop("reservoir_texts"),
+            lambda row: row["reservoir_texts"].pop(),
         ],
-        ids=["missing", "too_few", "wrong_dimension"],
+        ids=["missing", "too_few", "wrong_dimension", "texts_missing", "texts_too_few"],
     )
     def test_rejects_active_row_without_its_reservoir_vectors(self, damage):
         rng = np.random.default_rng(13)
@@ -430,5 +434,5 @@ class TestPersistence:
         state = ClusterState(HyperParams(theta=2.0, reservoir_cap=5))
         for i in range(8):
             state.ingest_point(record(f"p{i}"), np.array([1.0, 0.0]))
-        reservoir_ids = [rid for rid, _ in state.get(0).reservoir]
+        reservoir_ids = [rid for rid, _, _ in state.get(0).reservoir]
         assert reservoir_ids == [f"p{i}" for i in range(3, 8)]

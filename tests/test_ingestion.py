@@ -179,6 +179,19 @@ class TestBatching:
         )
         assert batches[0].start == T0
 
+    @pytest.mark.parametrize(
+        "plan",
+        [BatchPlan.fixed(timedelta(days=3_000_000)),
+         BatchPlan.snapshot_plus(timedelta(days=3_000_000), timedelta(days=1))],
+        ids=["window", "snapshot"],
+    )
+    def test_window_past_the_calendar_ends_at_its_last_time(self, plan):
+        # Either span fits the calendar, but not from 2017 on.
+        records = self._days([0, 4])
+        batches = plan_batches(records, plan)
+        assert [b.records for b in batches] == [tuple(records)]
+        assert batches[0].end == datetime.max.replace(tzinfo=timezone.utc)
+
     def test_nonpositive_durations_rejected(self):
         with pytest.raises(ValueError):
             BatchPlan.fixed(timedelta(0))
@@ -212,10 +225,22 @@ class TestJsonl:
         with pytest.raises(ParseError, match=f"^{path}:2: not an object with timestamp"):
             read()
 
-    @pytest.mark.parametrize("timestamp", ["yesterday", None, 1e20, float("nan")])
+    @pytest.mark.parametrize(
+        "timestamp", ["yesterday", None, 1e20, float("nan"), "9999-12-31T23:00:00-05:00"]
+    )
     def test_timestamp_neither_iso_nor_a_number(self, tmp_path, timestamp):
         path, read = self.read_with_second_line(
             tmp_path, json.dumps(dict(self.GOOD, timestamp=timestamp))
         )
         with pytest.raises(ParseError, match=f"^{path}:2: bad timestamp"):
             read()
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        # a Latin-1 byte inside the text, then a line of stray bytes
+        path = tmp_path / "events.jsonl"
+        line = b'{"timestamp": 0, "level": "ERROR", "text": "disk \xe9 full"}\n'
+        path.write_bytes(line + b"\xff\xfe\n")
+        with pytest.raises(ParseError, match=f"^{path}:2: invalid JSON"):
+            read_jsonl(path)
+        path.write_bytes(line)
+        assert [r.raw_text for r in read_jsonl(path)] == ["disk \ufffd full"]
