@@ -79,29 +79,23 @@ def fresh_params(points: np.ndarray, K: int, seed: int = 0) -> GmmParams:
     )
 
 
-def fit_batch(
-    points: list[np.ndarray] | np.ndarray,
-    init: GmmParams,
-    max_iters: int | None = None,
-    tol: float | None = None,
-) -> GmmParams:
-    """EM until the log-likelihood gain drops below tol or iterations run out."""
+def fit_batch(points: list[np.ndarray] | np.ndarray, init: GmmParams) -> GmmParams:
+    """EM from ``init`` until the log-likelihood gain drops below ``init.tol``
+    or ``init.max_iters`` iterations run out."""
     X = np.asarray(points, dtype=float)
-    max_iters = init.max_iters if max_iters is None else max_iters
-    tol = init.tol if tol is None else tol
     params = GmmParams(
         K=init.K,
         means=init.means.copy(),
         variances=init.variances.copy(),
         mixing=init.mixing.copy(),
-        max_iters=max_iters,
-        tol=tol,
+        max_iters=init.max_iters,
+        tol=init.tol,
     )
     prev_ll = -np.inf
-    for _ in range(max_iters):
+    for _ in range(params.max_iters):
         log_r, ll = _log_resp(X, params)
         params.log_likelihoods.append(ll)
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < params.tol and np.isfinite(prev_ll):
             break
         prev_ll = ll
         resp = np.exp(log_r)  # (n, K)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timedelta
 from importlib import resources
 from itertools import product
@@ -345,15 +345,18 @@ def _write_outputs(
 def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     """Execute the full pipeline and write reports; returns the report document.
 
-    A preloaded ``state`` resumes a previous online-clustering run.
+    A preloaded ``state`` resumes a previous online-clustering run, whose
+    params the config must repeat.
     """
     config = check_config(asdict(config))
+    if state is not None:
+        _check_resume(config, state.params)
     prep = prepare(config)
     timings = dict(prep.timings)
 
     t0 = time.perf_counter()
     if config.algorithm == "GMM":
-        reports, state = _gmm_process(config, prep), None
+        reports = _gmm_process(config, prep)
     else:
         if state is None:
             state = ClusterState(config.resolved_params())
@@ -367,6 +370,22 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     return _write_outputs(
         Path(config.output_dir), config, prep, reports, series, score, state, timings
     )
+
+
+def _check_resume(config: RunConfig, snapshot: HyperParams) -> None:
+    if config.algorithm == "GMM":
+        raise ConfigError("algorithm: GMM cannot resume from a cluster-state snapshot")
+    params = config.resolved_params()
+    # state.json holds staleness in float seconds, which drop microseconds past
+    # about 285 years: compare the config's staleness as a snapshot holds it.
+    params = replace(params, staleness=timedelta(seconds=params.staleness.total_seconds()))
+    differ = [
+        f"{f.name} {getattr(params, f.name)} is not the snapshot's {getattr(snapshot, f.name)}"
+        for f in fields(HyperParams)
+        if getattr(params, f.name) != getattr(snapshot, f.name)
+    ]
+    if differ:
+        raise ConfigError(f"params: {'; '.join(differ)}")
 
 
 _SWEEP_AXES = ("theta", "alpha", "gamma")

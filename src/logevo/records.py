@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -44,8 +44,7 @@ _URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*://\S*")
 
 # Longest alternatives first: a full datetime must not be eaten piecemeal.
 _TS_RE = re.compile(
-    r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}(?:\.\d+)?(?:Z|[+-]\d{2}:?\d{2})?"
-    r"|\d{4}-\d{2}-\d{2}"
+    r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}:\d{2}(?:\.\d+)?(?:Z|[+-]\d{2}:?\d{2})?)?"
     r"|\d{2}:\d{2}:\d{2}(?:\.\d+)?"
     r"|(?<!\d)\d{13}(?!\d)"
     r"|(?<!\d)\d{10}(?!\d)"
@@ -71,22 +70,19 @@ class LogRecord:
     source: str | None = None
 
     @classmethod
-    def build(
-        cls,
-        id: str,
-        timestamp: datetime,
-        level: Level,
-        raw_text: str,
-        source: str | None = None,
-    ) -> "LogRecord":
-        if timestamp.tzinfo is None:
-            timestamp = timestamp.replace(tzinfo=timezone.utc)
-        timestamp = timestamp.astimezone(timezone.utc).replace(microsecond=0)
-        return cls(id, timestamp, level, raw_text, scrub(raw_text), source)
+    def build(cls, id: str, timestamp: datetime, level: Level, raw_text: str,
+              source: str | None = None) -> "LogRecord":
+        """The one place a record's time is put in UTC; a naive time is read as UTC."""
+        return cls(id, _utc(timestamp), level, raw_text, scrub(raw_text), source)
 
-    def with_appended_text(self, extra: str) -> "LogRecord":
-        raw = self.raw_text + "\n" + extra
-        return replace(self, raw_text=raw, scrubbed_text=scrub(raw))
+
+def _utc(t: datetime) -> datetime:
+    """``t`` in UTC to the second; ParseError when that leaves years 1 to 9999."""
+    try:
+        utc = t.astimezone(timezone.utc) if t.tzinfo else t.replace(tzinfo=timezone.utc)
+    except OverflowError as exc:
+        raise ParseError(f"{t.isoformat()} falls outside years 1 to 9999 in UTC") from exc
+    return utc.replace(microsecond=0)
 
 
 @dataclass(frozen=True)
@@ -117,51 +113,63 @@ class LineFormat:
         return self._compiled
 
 
-def parse_loghub_line(line: str, fmt: LineFormat, record_id: str = "0") -> LogRecord:
-    """Parse one physical log line; raises ParseError when the format misses."""
-    m = fmt.regex.match(line.rstrip("\n"))
+def _first_line(line: str, fmt: LineFormat) -> tuple[datetime, Level, str, str | None] | None:
+    """Time, level, text and source of a line that starts a record; else None."""
+    m = fmt.regex.match(line)
     if m is None:
-        raise ParseError(f"line does not match format {fmt.name!r}: {line[:80]!r}")
-    groups = m.groupdict()
-    ts_text = groups["timestamp"]
+        return None
     try:
-        ts = datetime.strptime(ts_text, fmt.timestamp_format)
-    except ValueError as exc:
-        raise ParseError(f"bad timestamp {ts_text!r} for format {fmt.name!r}") from exc
-    if fmt.default_year is not None:
-        ts = ts.replace(year=fmt.default_year)
-    return LogRecord.build(
-        id=record_id,
-        timestamp=ts,
-        level=map_level(groups.get("level")),
-        raw_text=groups["text"],
-        source=groups.get("source"),
-    )
+        ts = datetime.strptime(m["timestamp"], fmt.timestamp_format)
+        if fmt.default_year is not None:
+            ts = ts.replace(year=fmt.default_year)
+        _utc(ts)  # a time past the calendar in UTC makes a continuation line
+    except (ValueError, ParseError):
+        return None
+    groups = m.groupdict()
+    return ts, map_level(groups.get("level")), groups["text"], groups.get("source")
+
+
+def parse_loghub_line(line: str, fmt: LineFormat, record_id: str = "0") -> LogRecord:
+    """Parse one physical log line; raises ParseError unless it starts a record."""
+    first = _first_line(line.rstrip("\n"), fmt)
+    if first is None:
+        raise ParseError(f"line does not start a record in format {fmt.name!r}: {line[:80]!r}")
+    return _record(record_id, first, [])
+
+
+def _record(record_id: str, first: tuple, more: list[str]) -> LogRecord:
+    """The record of a first line's fields and its continuation lines."""
+    ts, level, text, source = first
+    return LogRecord.build(record_id, ts, level, "\n".join([text, *more]), source)
 
 
 def read_loghub_file(path: str | Path, fmt: LineFormat) -> tuple[list[LogRecord], int]:
-    """Read a raw log file.
+    """Read a raw log file; returns (records, skipped_count).
 
-    Lines that fail the format are appended to the previous record (stack
-    traces); before the first record they are counted and skipped. Returns
-    (records, skipped_count).
+    A line that does not start a record continues the one before it (a stack
+    trace), or is skipped before the first record. Each record is built once,
+    from its first line's fields and its lines joined with newlines.
     """
     records: list[LogRecord] = []
     skipped = 0
     path = Path(path)
+    pending = None  # the open record's id, first line's fields and continuation lines
     with path.open(encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                rec = parse_loghub_line(line, fmt, record_id=f"{path.name}:{lineno}")
-            except ParseError:
-                if records:
-                    records[-1] = records[-1].with_appended_text(line.rstrip("\n"))
-                else:
-                    skipped += 1
-                continue
-            records.append(rec)
+            line = line.rstrip("\n")
+            first = _first_line(line, fmt)
+            if first is not None:
+                if pending:
+                    records.append(_record(*pending))
+                pending = (f"{path.name}:{lineno}", first, [])
+            elif pending:
+                pending[2].append(line)
+            else:
+                skipped += 1
+    if pending:
+        records.append(_record(*pending))
     return records, skipped
 
 
@@ -182,25 +190,16 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
                 raise ParseError(f"{path}:{lineno}: invalid JSON") from exc
             if not isinstance(obj, dict) or not {"timestamp", "level", "text"} <= obj.keys():
                 raise ParseError(f"{path}:{lineno}: not an object with timestamp, level and text")
-            ts_raw = obj["timestamp"]
+            rid, ts_raw = str(obj.get("id", f"{path.name}:{lineno}")), obj["timestamp"]
+            level, text, source = map_level(str(obj["level"])), str(obj["text"]), obj.get("source")
             try:
                 if isinstance(ts_raw, (int, float)):
                     ts = datetime.fromtimestamp(ts_raw, tz=timezone.utc)
                 else:
                     ts = datetime.fromisoformat(str(ts_raw).replace("Z", "+00:00"))
-                    if ts.tzinfo is not None:  # in UTC it may fall outside years 1 to 9999
-                        ts = ts.astimezone(timezone.utc)
-            except (ValueError, OverflowError, OSError) as exc:
+                records.append(LogRecord.build(rid, ts, level, text, source))
+            except (ValueError, OverflowError, OSError, ParseError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad timestamp: {exc}") from exc
-            records.append(
-                LogRecord.build(
-                    id=str(obj.get("id", f"{path.name}:{lineno}")),
-                    timestamp=ts,
-                    level=map_level(str(obj["level"])),
-                    raw_text=str(obj["text"]),
-                    source=obj.get("source"),
-                )
-            )
     return records
 
 

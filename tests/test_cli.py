@@ -246,6 +246,35 @@ def test_resumed_run_writes_what_an_uninterrupted_run_writes(tmp_path, represent
         tmp_path / "whole" / "state.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "changes, detail",
+    [({"params": {"theta": 0.9, "alpha": 0.5}},
+      r"^params: theta 0\.9 is not the snapshot's 0\.3; alpha 0\.5 is not the snapshot's 0\.1$"),
+     ({"algorithm": "GMM"}, r"^algorithm: GMM cannot resume")],
+    ids=["other_params", "gmm"],
+)
+def test_resume_needs_the_snapshot_params_and_the_online_clusterer(tmp_path, changes, detail):
+    # The input does not exist: the check comes before any input is read.
+    config = dict(input=str(tmp_path / "missing.jsonl"), format="jsonl",
+                  params={"theta": 0.3}, output_dir=str(tmp_path / "out"))
+    state = ClusterState(RunConfig(**config).resolved_params())
+    with pytest.raises(ConfigError, match=detail):
+        run(RunConfig(**dict(config, **changes)), state)
+    assert not (tmp_path / "out").exists()
+
+
+def test_resume_takes_the_params_as_a_snapshot_holds_them(tmp_path):
+    # Float seconds in state.json lose this staleness's last microsecond.
+    write_jsonl(tmp_path / "events.jsonl", make_evolution_jsonl(days=3, per_kind=4, seed=5))
+    config = RunConfig(input=str(tmp_path / "events.jsonl"), format="jsonl",
+                       params={"theta": 0.3, "staleness_days": 1e6 / 3},
+                       output_dir=str(tmp_path / "out"))
+    state = ClusterState.from_snapshot(ClusterState(config.resolved_params()).to_snapshot())
+    assert state.params != config.resolved_params()
+    run(config, state)
+    assert (tmp_path / "out" / "state.json").exists()
+
+
 def test_zero_centroid_run(tmp_path, capsys):
     # tok3 and tok10 hash to one slot with opposite signs (d 64, seed 0), so at
     # theta 2 they merge into a cluster whose centroid is exactly zero.

@@ -1,5 +1,7 @@
 """Warm-start diagonal GMM baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def test_warm_start_improves_or_holds():
     rng = np.random.default_rng(33)
     X = blobs(rng, [np.zeros(3), np.ones(3)], 60)
     first = fit_batch(X, fresh_params(X, K=2, seed=0))
-    warm = fit_batch(X, first, max_iters=2)
+    warm = fit_batch(X, dataclasses.replace(first, max_iters=2))
     assert warm.log_likelihoods[-1] >= warm.log_likelihoods[0] - 1e-8
     assert warm.K == first.K
 

@@ -6,6 +6,8 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+from logevo import records as records_module
+from logevo.cli import main
 from logevo.errors import EmptyStream, ParseError
 from logevo.formats import LINUX, SIMPLE
 from logevo.records import (
@@ -17,6 +19,7 @@ from logevo.records import (
     parse_loghub_line,
     plan_batches,
     read_jsonl,
+    read_loghub_file,
     scrub,
 )
 
@@ -81,6 +84,97 @@ class TestParse:
         assert map_level("WARNING") is Level.WARN
         assert map_level("trace") is Level.DEBUG
         assert map_level("notice") is Level.OTHER
+
+
+# Two lines whose second time, read through %z, is past year 9999 once in UTC.
+ISO_OFFSET = LineFormat(
+    name="iso_offset",
+    pattern=r"(?P<timestamp>\S+) (?P<level>\S+) (?P<text>.*)",
+    timestamp_format="%Y-%m-%dT%H:%M:%S%z",
+)
+PAST_THE_CALENDAR = "2017-05-16T00:00:00+0000 ERROR disk full\n9999-12-31T23:00:00-0500 ERROR disk full\n"
+
+
+class TestLoghubFile:
+    def read(self, tmp_path, text, fmt=SIMPLE):
+        path = tmp_path / "raw.log"
+        path.write_text(text)
+        return read_loghub_file(path, fmt)
+
+    def test_lines_before_the_first_record_are_skipped(self, tmp_path):
+        records, skipped = self.read(
+            tmp_path, "banner\n\n  \nstill banner\n2017-05-16 00:00:04 ERROR disk full\n"
+        )
+        assert skipped == 2
+        assert [(r.id, r.raw_text) for r in records] == [("raw.log:5", "disk full")]
+
+    def test_continuation_lines_join_with_newlines(self, tmp_path):
+        text = (
+            "2017-05-16 00:00:04 ERROR IOException in offerService\n"
+            "\tat a.B.c(B.java:1)\n"
+            "\n"
+            "\tat a.B.d(B.java:2)  \n"
+            "2017-05-16 00:00:05 WARN slow\n"
+        )
+        records, skipped = self.read(tmp_path, text)
+        assert skipped == 0
+        assert [r.raw_text for r in records] == [
+            "IOException in offerService\n\tat a.B.c(B.java:1)\n\tat a.B.d(B.java:2)  ",
+            "slow",
+        ]
+        assert records[0].scrubbed_text == scrub(records[0].raw_text)
+        assert [r.level for r in records] == [Level.ERROR, Level.WARN]
+
+    def test_a_line_whose_time_does_not_parse_continues_the_record(self, tmp_path):
+        # matches the pattern, but month 13 fails strptime
+        records, _ = self.read(
+            tmp_path, "2017-05-16 00:00:04 ERROR disk full\n2017-13-45 00:00:00 ERROR bad\n"
+        )
+        assert [r.raw_text for r in records] == ["disk full\n2017-13-45 00:00:00 ERROR bad"]
+        with pytest.raises(ParseError):
+            parse_loghub_line("2017-13-45 00:00:00 ERROR bad", SIMPLE)
+
+    def test_a_line_past_the_calendar_in_utc_continues_the_record(self, tmp_path):
+        records, skipped = self.read(tmp_path, PAST_THE_CALENDAR, ISO_OFFSET)
+        assert skipped == 0
+        assert [r.raw_text for r in records] == [
+            "disk full\n9999-12-31T23:00:00-0500 ERROR disk full"
+        ]
+        assert records[0].timestamp == datetime(2017, 5, 16, tzinfo=timezone.utc)
+        with pytest.raises(ParseError):
+            parse_loghub_line("9999-12-31T23:00:00-0500 ERROR disk full", ISO_OFFSET)
+
+    @pytest.mark.parametrize(
+        "more, code, err",
+        # One record alone has no silhouette; two kinds over two days score.
+        [("", 1, "METRIC: no batch has a defined silhouette\n"),
+         ("".join(f"2017-05-{day}T0{hour}:00:00+0000 ERROR {text}\n" for day in (16, 17)
+                  for hour, text in enumerate(("disk full", "connection refused"), start=1)),
+          0, "")],
+        ids=["alone", "with_more_records"],
+    )
+    def test_a_run_on_a_line_past_the_calendar(self, tmp_path, capsys, more, code, err):
+        (tmp_path / "raw.log").write_text(PAST_THE_CALENDAR + more)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "input": str(tmp_path / "raw.log"),
+            "line_format": {"name": ISO_OFFSET.name, "pattern": ISO_OFFSET.pattern,
+                            "timestamp_format": ISO_OFFSET.timestamp_format},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(config_path)]) == code
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("depth", [0, 1, 50])
+    def test_each_record_is_scrubbed_once(self, tmp_path, monkeypatch, depth):
+        calls = []
+        monkeypatch.setattr(records_module, "scrub", lambda text: calls.append(text) or text)
+        trace = "".join(f"\tat a.B.c(B.java:{k})\n" for k in range(depth))
+        text = "".join(f"2017-05-16 00:00:0{i} ERROR failure {i}\n{trace}" for i in range(3))
+        records, _ = self.read(tmp_path, text)
+        assert len(records) == 3
+        assert calls == [r.raw_text for r in records]
+        assert all(r.raw_text.count("\n") == depth for r in records)
 
 
 class TestScrub:
