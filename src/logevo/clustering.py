@@ -245,13 +245,14 @@ class ClusterState:
     def process_batch(
         self,
         batch: Batch,
-        vectors: list[np.ndarray],
+        vectors: np.ndarray,
         pick: Callable[[Cluster], Representative] | None = None,
     ) -> BatchReport:
         """Expire stale clusters, ingest the batch in order, report the census.
 
-        ``vectors`` aligns one-to-one with ``batch.records``. Expiry runs only
-        at the batch boundary so in-batch behavior is clock-independent.
+        ``vectors`` holds one unit row per record of ``batch``, in order; the
+        points and reservoir members it adds are views of those rows. Expiry
+        runs only at the batch boundary so in-batch behavior is clock-independent.
         ``pick`` chooses a cluster's representative, by default the reservoir
         member nearest the centroid. A cluster whose centroid and reservoir
         did not change since the last batch keeps its representative.
@@ -291,7 +292,7 @@ class ClusterState:
                 "theta": self.params.theta,
                 "alpha": self.params.alpha,
                 "gamma": self.params.gamma,
-                "staleness_seconds": self.params.staleness.total_seconds(),
+                "staleness_us": self.params.staleness // timedelta(microseconds=1),
                 "reservoir_cap": self.params.reservoir_cap,
             },
             "next_id": self.next_id,
@@ -301,12 +302,15 @@ class ClusterState:
     @classmethod
     def from_snapshot(cls, doc: dict) -> "ClusterState":
         p = doc["params"]
+        # Older snapshots hold float seconds, exact only up to 2**53 microseconds.
+        staleness = (timedelta(microseconds=p["staleness_us"]) if "staleness_us" in p
+                     else timedelta(seconds=p["staleness_seconds"]))
         state = cls(
             HyperParams(
                 theta=p["theta"],
                 alpha=p["alpha"],
                 gamma=p["gamma"],
-                staleness=timedelta(seconds=p["staleness_seconds"]),
+                staleness=staleness,
                 reservoir_cap=p["reservoir_cap"],
             )
         )

@@ -1,18 +1,21 @@
-"""Embedding providers: token sequences -> fixed-dimension unit vectors.
+"""Embedding providers: batches of token sequences -> arrays of unit rows.
 
 Neural models are never run in-process. Pretrained word vectors and
 sentence embeddings arrive as files; the hashing provider is a hermetic,
 deterministic substitute for tests and smoke runs.
 
-Every provider returns unit-norm vectors, so cosine similarity downstream is
-a dot product. That includes the fallback ``e0 = (1, 0, ..., 0)``, returned
-for a sequence with no tokens, no in-vocabulary tokens or a zero sum.
+Every provider turns a batch of n sequences into one (n, d) array of unit
+rows, so cosine similarity downstream is a dot product. A provider's
+``_rows`` only sums or looks up; ``_unit_rows`` then scales each row, and is
+the one place a zero or non-finite row becomes ``e0 = (1, 0, ..., 0)``: a
+sequence with no tokens, no in-vocabulary tokens or a zero sum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -21,31 +24,44 @@ from .errors import MissingEmbedding, ProviderError
 from .textnorm import TokenSeq
 
 
-def _fallback_vector(dim: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[0] = 1.0
-    return v
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale each row to unit length in place; a zero or non-finite row becomes e0."""
+    # sqrt(r @ r) is np.linalg.norm(r) to the bit; norm(rows, axis=1) sums in another order.
+    norms = np.sqrt([r @ r for r in rows])
+    fallback = (norms == 0.0) | ~np.isfinite(norms)
+    rows[fallback] = 0.0
+    rows[fallback, 0] = 1.0
+    norms[fallback] = 1.0
+    rows /= norms[:, None]
+    return rows
 
 
-def _l2_normalize(v: np.ndarray, dim: int) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.isfinite(norm):
-        return _fallback_vector(dim)
-    return v / norm
+class _Provider:
+    """The shared half of a provider: its ``_rows(seqs)`` gives one unscaled row
+    per sequence, and ``embed`` makes them unit rows."""
+
+    def embed(self, seqs: Sequence[TokenSeq]) -> np.ndarray:
+        """The batch as one (len(seqs), dim) array of unit rows."""
+        return _unit_rows(self._rows(seqs))
+
+    def vector(self, seq: TokenSeq) -> np.ndarray:
+        return self.embed([seq])[0]
 
 
-class WordAveragingProvider:
+class WordAveragingProvider(_Provider):
     """Averages per-token word vectors; out-of-vocabulary tokens are skipped."""
 
     def __init__(self, vocab: dict[str, np.ndarray], dim: int):
         self.vocab = vocab
         self.dim = dim
 
-    def vector(self, seq: TokenSeq) -> np.ndarray:
-        hits = [self.vocab[t] for t in seq.tokens if t in self.vocab]
-        if not hits:
-            return _fallback_vector(self.dim)
-        return _l2_normalize(np.mean(hits, axis=0), self.dim)
+    def _rows(self, seqs: Sequence[TokenSeq]) -> np.ndarray:
+        rows = np.zeros((len(seqs), self.dim))
+        for row, seq in zip(rows, seqs):
+            hits = [self.vocab[t] for t in seq.tokens if t in self.vocab]
+            if hits:
+                row[:] = np.mean(hits, axis=0)
+        return rows
 
 
 def load_word_vectors(path: str | Path) -> WordAveragingProvider:
@@ -81,13 +97,15 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
             vec = np.array(values, dtype=float)
         except ValueError as exc:
             raise ProviderError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
+        if not np.isfinite(vec).all():
+            raise ProviderError(f"{path}:{lineno}: the vector of {token!r} is not finite")
         vocab[token] = vec
     if dim is None or not vocab:
         raise ProviderError(f"{path}: no word vectors found")
     return WordAveragingProvider(vocab, dim)
 
 
-class HashingProvider:
+class HashingProvider(_Provider):
     """Signed hashed bag-of-tokens, stable across platforms and processes."""
 
     MAX_DIM = 4096  # every record keeps its dense vector for the whole run
@@ -95,39 +113,46 @@ class HashingProvider:
     def __init__(self, dim: int, seed: int = 0):
         if not 2 <= dim <= self.MAX_DIM:
             raise ProviderError(f"hashing embedder needs 2 <= dim <= {self.MAX_DIM}, not {dim}")
+        # blake2b takes a salt of at most 16 bytes; cutting it would give two seeds one salt.
+        if len(str(seed)) > 16:
+            raise ProviderError(f"hashing seed {seed} is longer than the 16 characters of a salt")
         self.dim = dim
         self.seed = seed
 
     def _slot(self, token: str) -> tuple[int, float]:
         digest = hashlib.blake2b(
-            token.encode("utf-8"), digest_size=9, salt=str(self.seed).encode()[:16]
+            token.encode("utf-8"), digest_size=9, salt=str(self.seed).encode()
         ).digest()
         index = int.from_bytes(digest[:8], "big") % self.dim
         sign = 1.0 if digest[8] % 2 == 0 else -1.0
         return index, sign
 
-    def vector(self, seq: TokenSeq) -> np.ndarray:
-        if not seq.tokens:
-            return _fallback_vector(self.dim)
-        v = np.zeros(self.dim)
-        for token in seq.tokens:
-            index, sign = self._slot(token)
-            v[index] += sign
-        return _l2_normalize(v, self.dim)
+    def _rows(self, seqs: Sequence[TokenSeq]) -> np.ndarray:
+        # One _slot per distinct token of the batch; the table dies with the batch.
+        slots = {t: self._slot(t) for t in {t for seq in seqs for t in seq.tokens}}
+        rows = np.zeros((len(seqs), self.dim))
+        for row, seq in zip(rows, seqs):
+            for token in seq.tokens:
+                index, sign = slots[token]
+                row[index] += sign
+        return rows
 
 
-class PrecomputedProvider:
+class PrecomputedProvider(_Provider):
     """Looks vectors up by record id; the route for offline sentence embeddings."""
 
     def __init__(self, table: dict[str, np.ndarray], dim: int):
         self.table = table
         self.dim = dim
 
-    def vector(self, seq: TokenSeq) -> np.ndarray:
-        vec = self.table.get(seq.source_id)
-        if vec is None:
-            raise MissingEmbedding(seq.source_id)
-        return _l2_normalize(vec, self.dim)
+    def _rows(self, seqs: Sequence[TokenSeq]) -> np.ndarray:
+        rows = np.empty((len(seqs), self.dim))
+        for row, seq in zip(rows, seqs):
+            vec = self.table.get(seq.source_id)
+            if vec is None:
+                raise MissingEmbedding(seq.source_id)
+            row[:] = vec
+        return rows
 
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:

@@ -185,20 +185,20 @@ def ingest(config: RunConfig) -> tuple[list[LogRecord], int]:
     return [r for r in records if r.level in wanted], skipped
 
 
-def embed_records(config: RunConfig, records: list[LogRecord], provider) -> list[np.ndarray]:
+def embed_records(config: RunConfig, records: list[LogRecord], provider) -> np.ndarray:
+    """One unit row per record, in order."""
     stopwords = load_stopwords(config.stopwords_path)
-    return [
-        provider.vector(normalize(r.scrubbed_text, source_id=r.id, stopwords=stopwords))
-        for r in records
-    ]
+    return provider.embed(
+        [normalize(r.scrubbed_text, source_id=r.id, stopwords=stopwords) for r in records]
+    )
 
 
 @dataclass(frozen=True)
 class Prepared:
-    """The embedded input of a run: its batches and one vector per record."""
+    """The embedded input of a run: its batches and each batch's array of unit rows."""
 
     batches: list[Batch]
-    vectors_by_batch: list[list[np.ndarray]]
+    vectors_by_batch: list[np.ndarray]
     n_records: int
     skipped: int
     timings: dict[str, float]
@@ -232,15 +232,14 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
     params = None
     reports = []
     for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
-        if not vecs:
+        if not len(vecs):
             reports.append(BatchReport(batch.index, [], 0 if params is None else K, {}, []))
             continue
-        X = np.array(vecs)
         if params is None:
-            params = gmm.fit_batch(X, gmm.fresh_params(X, K, seed))
+            params = gmm.fit_batch(vecs, gmm.fresh_params(vecs, K, seed))
         else:
-            params = gmm.fit_batch(X, params)
-        labels = gmm.assign(X, params)
+            params = gmm.fit_batch(vecs, params)
+        labels = gmm.assign(vecs, params)
         members = [[] for _ in range(K)]
         for rec, vec, k in zip(batch.records, vecs, labels):
             members[k].append((rec.id, rec.scrubbed_text, vec))
@@ -376,9 +375,6 @@ def _check_resume(config: RunConfig, snapshot: HyperParams) -> None:
     if config.algorithm == "GMM":
         raise ConfigError("algorithm: GMM cannot resume from a cluster-state snapshot")
     params = config.resolved_params()
-    # state.json holds staleness in float seconds, which drop microseconds past
-    # about 285 years: compare the config's staleness as a snapshot holds it.
-    params = replace(params, staleness=timedelta(seconds=params.staleness.total_seconds()))
     differ = [
         f"{f.name} {getattr(params, f.name)} is not the snapshot's {getattr(snapshot, f.name)}"
         for f in fields(HyperParams)

@@ -264,13 +264,13 @@ def test_resume_needs_the_snapshot_params_and_the_online_clusterer(tmp_path, cha
 
 
 def test_resume_takes_the_params_as_a_snapshot_holds_them(tmp_path):
-    # Float seconds in state.json lose this staleness's last microsecond.
+    # Float seconds lost this staleness's last microsecond; state.json holds whole ones.
     write_jsonl(tmp_path / "events.jsonl", make_evolution_jsonl(days=3, per_kind=4, seed=5))
     config = RunConfig(input=str(tmp_path / "events.jsonl"), format="jsonl",
                        params={"theta": 0.3, "staleness_days": 1e6 / 3},
                        output_dir=str(tmp_path / "out"))
     state = ClusterState.from_snapshot(ClusterState(config.resolved_params()).to_snapshot())
-    assert state.params != config.resolved_params()
+    assert state.params == config.resolved_params()
     run(config, state)
     assert (tmp_path / "out" / "state.json").exists()
 
@@ -373,6 +373,8 @@ BAD_CONFIGS = [
      [], "batch: snapshot_days"),
     ({"algorithm": "GMM", "representative": "LEVENSHTEIN"}, [], "representative"),
     ({}, ["--algo", "gmm", "--rep", "levenshtein"], "representative"),
+    ({"provider": {"kind": "hashing", "seed": 10**16}}, [], "provider: hashing seed"),
+    ({"provider": {"kind": "hashing", "seed": -(10**15)}}, [], "provider: hashing seed"),
 ]
 
 

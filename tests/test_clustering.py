@@ -334,6 +334,21 @@ class TestPersistence:
                 (rid, text) for rid, text, _ in b.reservoir
             ]
 
+    def test_staleness_round_trips_exactly(self):
+        # Float seconds lost 1779 of these 2000 values; whole microseconds keep all.
+        rng = np.random.default_rng(12)
+        for us in rng.integers(1, 3_000_000 * 86_400_000_000, size=2000).tolist():
+            params = HyperParams(staleness=timedelta(microseconds=us))
+            doc = json.loads(json.dumps(ClusterState(params).to_snapshot()))
+            assert ClusterState.from_snapshot(doc).params == params
+
+    def test_reads_staleness_seconds_of_an_older_snapshot(self):
+        doc = ClusterState(HyperParams(staleness=timedelta(days=2))).to_snapshot()
+        doc["params"]["staleness_seconds"] = 172800.5
+        del doc["params"]["staleness_us"]
+        loaded = ClusterState.from_snapshot(doc).params.staleness
+        assert loaded == timedelta(days=2, microseconds=500_000)
+
     def test_reads_indented_snapshot(self, tmp_path):
         rng = np.random.default_rng(10)
         state = ClusterState(HyperParams(theta=0.4, staleness=timedelta(days=2)))

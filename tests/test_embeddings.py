@@ -6,6 +6,7 @@ import pytest
 from logevo.embeddings import (
     HashingProvider,
     PrecomputedProvider,
+    WordAveragingProvider,
     load_precomputed,
     load_word_vectors,
     write_precomputed,
@@ -63,6 +64,14 @@ class TestWordAveraging:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProviderError, match="nope.txt"):
             load_word_vectors(tmp_path / "nope.txt")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        # Such a word would turn every record that uses it into e0.
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 1 0\nb 1 {value}\n")
+        with pytest.raises(ProviderError, match=rf"^{path}:2: the vector of 'b' is not finite$"):
+            load_word_vectors(path)
 
     def test_duplicate_token_keeps_first(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -143,6 +152,30 @@ class TestHashing:
         with pytest.raises(ProviderError):
             HashingProvider(1)
 
+    @pytest.mark.parametrize("seed", [10**16, 10**16 + 7, -(10**15)])
+    def test_rejects_a_seed_longer_than_the_salt(self, seed):
+        # Cut to the 16 bytes of a blake2b salt, 10**16 and 10**16 + 7 hashed alike.
+        with pytest.raises(ProviderError, match=f"hashing seed {seed} is longer than"):
+            HashingProvider(32, seed=seed)
+
+    @pytest.mark.parametrize("seed", [10**16 - 1, -(10**15) + 1])
+    def test_seeds_of_16_characters_are_kept_apart(self, seed):
+        s = seq("connection", "timeout")
+        assert not np.array_equal(
+            HashingProvider(32, seed=seed).vector(s), HashingProvider(32, seed=seed // 10).vector(s)
+        )
+
+    def test_slot_runs_once_per_distinct_token_of_a_batch(self, monkeypatch):
+        provider = HashingProvider(16, seed=2)
+        calls = []
+        slot = provider._slot
+        monkeypatch.setattr(provider, "_slot", lambda t: calls.append(t) or slot(t))
+        batch = [seq("a", "b", "a"), seq("b", "c"), seq(), seq("a")]
+        provider.embed(batch)
+        assert sorted(calls) == ["a", "b", "c"]
+        provider.embed(batch)  # no table outlives its batch
+        assert sorted(calls) == ["a", "a", "b", "b", "c", "c"]
+
 
 class TestPrecomputed:
     def test_total_coverage(self, tmp_path):
@@ -157,6 +190,14 @@ class TestPrecomputed:
         provider = load_precomputed(path)
         with pytest.raises(MissingEmbedding, match="r9"):
             provider.vector(seq(source_id="r9"))
+
+    def test_missing_id_in_a_batch(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        write_precomputed(path, {"r0": np.array([1.0, 0.0]), "r1": np.array([0.0, 1.0])})
+        provider = load_precomputed(path)
+        batch = [seq(source_id="r0"), seq(source_id="r7"), seq(source_id="r1")]
+        with pytest.raises(MissingEmbedding, match="r7"):
+            provider.embed(batch)
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -193,3 +234,88 @@ class TestPrecomputed:
         with pytest.raises(ProviderError, match=f"^{path}:2: {detail}"):
             load_precomputed(path)
 
+
+def _providers(tmp_path):
+    words = tmp_path / "vec.txt"
+    words.write_text("a 1 0 0\nb 0 2 0\nc 0 0 -1\n")
+    table = tmp_path / "emb.jsonl"
+    write_precomputed(table, {"r0": np.array([1.0, 0.0, 0.0])})
+    return [HashingProvider(3, seed=0), load_word_vectors(words), load_precomputed(table)]
+
+
+def test_empty_batch_is_zero_rows_of_the_dimension(tmp_path):
+    for provider in _providers(tmp_path):
+        rows = provider.embed([])
+        assert rows.shape == (0, 3) and rows.dtype == float
+
+
+def _one_record(raw: np.ndarray) -> np.ndarray:
+    """The per-record rule the batch must reproduce to the bit: scale by
+    np.linalg.norm, or e0 for a zero or non-finite norm."""
+    norm = float(np.linalg.norm(raw))
+    return np.eye(len(raw))[0] if norm == 0.0 or not np.isfinite(norm) else raw / norm
+
+
+@pytest.mark.parametrize("kind", ["hashing", "word_vectors", "precomputed"])
+def test_mixed_batch_falls_back_to_e0_and_matches_one_at_a_time(tmp_path, kind):
+    if kind == "hashing":
+        provider = HashingProvider(64, seed=0)
+        # tok3 and tok10 hash to one slot with opposite signs: a zero sum.
+        assert provider._slot("tok3")[0] == provider._slot("tok10")[0]
+        assert provider._slot("tok3")[1] == -provider._slot("tok10")[1]
+        tokens = [(), ("tok3", "tok10"), ("disk", "full"), ("tok3",), ("disk", "quota", "disk")]
+        fallback = [True, True, False, False, False]
+
+        def raw(s):
+            v = np.zeros(64)
+            for t in s.tokens:
+                index, sign = provider._slot(t)
+                v[index] += sign
+            return v
+    elif kind == "word_vectors":
+        rng = np.random.default_rng(3)
+        path = tmp_path / "vec.txt"
+        path.write_text(
+            "".join(f"w{i} " + " ".join(map(str, rng.normal(size=64))) + "\n" for i in range(4))
+            + "up " + " ".join(["1"] * 64) + "\ndown " + " ".join(["-1"] * 64) + "\n"
+        )
+        provider = load_word_vectors(path)
+        tokens = [(), ("oov", "zz"), ("up", "down"), ("w0", "oov"), ("w1", "w2", "w3", "w1")]
+        fallback = [True, True, True, False, False]
+
+        def raw(s):
+            hits = [provider.vocab[t] for t in s.tokens if t in provider.vocab]
+            return np.mean(hits, axis=0) if hits else np.zeros(64)
+    else:
+        rng = np.random.default_rng(4)
+        table = {f"r{i}": rng.normal(size=64) for i in range(5)}
+        table["r1"] = np.zeros(64)
+        path = tmp_path / "emb.jsonl"
+        write_precomputed(path, table)
+        provider = load_precomputed(path)
+        tokens = [("x",)] * 5
+        fallback = [False, True, False, False, False]
+
+        def raw(s):
+            return provider.table[s.source_id]
+    batch = [seq(*t, source_id=f"r{i}") for i, t in enumerate(tokens)]
+    rows = provider.embed(batch)
+    assert rows.shape == (len(batch), 64)
+    for row, s, is_e0 in zip(rows, batch, fallback):
+        assert np.array_equal(row, np.eye(64)[0]) == is_e0
+        np.testing.assert_array_equal(row, _one_record(raw(s)))
+        np.testing.assert_array_equal(row, provider.vector(s))
+
+
+def test_batch_rows_equal_the_per_record_rule_to_the_bit():
+    # Norms summed in another order than np.linalg.norm(r), as norm(rows, axis=1)
+    # does, differ from it in the last bit for some of these rows.
+    rng = np.random.default_rng(5)
+    vocab = {f"w{k}": rng.normal(size=48) for k in range(300)}
+    provider = WordAveragingProvider(vocab, 48)
+    batch = [seq(*(f"w{k}" for k in rng.integers(0, 300, size=rng.integers(0, 12))))
+             for _ in range(500)]
+    for row, s in zip(provider.embed(batch), batch):
+        hits = [vocab[t] for t in s.tokens]
+        raw = np.mean(hits, axis=0) if hits else np.zeros(48)
+        np.testing.assert_array_equal(row, _one_record(raw))
