@@ -1,7 +1,8 @@
 """logevo: online semantic clustering of error logs with evolution scoring."""
 
-from .clustering import AssignmentOutcome, BatchReport, Cluster, ClusterState, HyperParams
-from .metrics import EvolutionScore, score_C, score_LCE, score_R, score_S, silhouette_batch
+from .clustering import AssignmentOutcome, Cluster, ClusterState, HyperParams
+from .metrics import BatchReport, EvolutionScore, silhouette_batch
+from .metrics import score_C, score_LCE, score_R, score_S
 from .records import Batch, BatchPlan, Level, LineFormat, LogRecord, plan_batches, scrub
 from .textnorm import TokenSeq, normalize
 

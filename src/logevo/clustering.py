@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NoActiveClusters
+from .metrics import BatchReport
 from .records import Batch, LogRecord
 from .representatives import Representative, representative_by_centroid
 
@@ -47,13 +48,13 @@ class HyperParams:
 
 
 class Cluster:
-    """One cluster of a ``ClusterState``.
+    """One cluster of a ``ClusterState``, which is the only code that changes it.
 
     While the cluster is active its centroid is a row of the state's centroid
-    array, the one place it is stored; ``cen`` reads a copy of that row and
-    assigning ``cen`` writes the row. A retired cluster keeps only its history,
-    its id, size and first and last times seen: retiring frees its centroid,
-    so ``cen`` reads None and cannot be assigned, and empties its reservoir.
+    array, the one place it is stored; ``cen`` reads a copy of that row. A
+    retired cluster keeps only its history, its id, size and first and last
+    times seen: retiring frees its centroid, so ``cen`` reads None, and empties
+    its reservoir.
     """
 
     def __init__(self, id: int, len: int, created_at: datetime, last_updated: datetime, cap: int):
@@ -72,23 +73,9 @@ class Cluster:
             return None
         return self._state._cen[self._row].copy()
 
-    @cen.setter
-    def cen(self, value: np.ndarray) -> None:
-        if self._row is None:
-            raise ValueError(f"cluster {self.id} is retired and has no centroid")
-        self._state._write_row(self._row, value)
-        self._state._stale_reps.add(self.id)
-
     @property
     def active(self) -> bool:
         return self._row is not None
-
-    @active.setter
-    def active(self, value: bool) -> None:
-        if value and self._row is None:
-            raise ValueError(f"cluster {self.id} is retired; a returning defect opens a new one")
-        if not value and self._row is not None:
-            self._state._detach([self])
 
 
 @dataclass(frozen=True)
@@ -97,16 +84,6 @@ class AssignmentOutcome:
     cluster_id: int
     was_new: bool
     distance: float
-
-
-@dataclass
-class BatchReport:
-    index: int
-    points: list[tuple[np.ndarray, int]]  # (vector, assigned cluster id)
-    nr_clust: int  # active clusters at batch end
-    reps: dict[int, Representative]
-    expired: list[int]
-    sizes: dict[int, int] = field(default_factory=dict)  # len of each reported cluster
 
 
 class ClusterState:
@@ -148,10 +125,6 @@ class ClusterState:
 
     # -- the centroid array --------------------------------------------------
 
-    def _write_row(self, row: int, value: np.ndarray) -> None:
-        self._cen[row] = value
-        self._norm[row] = np.linalg.norm(self._cen[row])
-
     def _attach(self, cluster: Cluster, cen: np.ndarray) -> None:
         """Append the row of a cluster newer than every active one."""
         n = len(self._rows)
@@ -163,7 +136,8 @@ class ClusterState:
             self._cen, self._norm = grown, norms
         self._rows.append(cluster)
         cluster._state, cluster._row = self, n
-        self._write_row(n, cen)
+        self._cen[n] = cen
+        self._norm[n] = np.linalg.norm(self._cen[n])
 
     def _detach(self, retired: list[Cluster]) -> None:
         """Drop retired clusters' rows, compacting the array, and free their reservoirs."""
@@ -358,7 +332,8 @@ class ClusterState:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterState":
-        return cls.from_snapshot(json.loads(Path(path).read_text(encoding="utf-8")))
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        return cls.from_snapshot(json.loads(text))
 
 
 def _snapshot_row(c: Cluster) -> dict:

@@ -68,7 +68,7 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
     """Load a word2vec-text-format file (optional "<count> <dim>" header)."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
     except OSError as exc:
         raise ProviderError(f"cannot read word vectors from {path}: {exc}") from exc
 
@@ -161,7 +161,7 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8", errors="replace") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

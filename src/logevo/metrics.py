@@ -3,7 +3,7 @@ cluster-count smoothness C, and their weighted combination LCE."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,13 +14,21 @@ UNDEFINED = None  # silhouette sentinel for degenerate batches
 _SILHOUETTE_BLOCK = 1024  # rows of the n x k product held at once
 
 
-@dataclass(frozen=True)
-class BatchMetricInput:
+@dataclass
+class BatchReport:
+    """One batch's result: the clusterer fills in all but the silhouette, which
+    scoring adds."""
+
     index: int
     points: list[tuple[np.ndarray, int]]  # (vector, cluster id) ingested this batch
     nr_clust: int  # active clusters at batch end
     reps: dict[int, Representative]
     silhouette_raw: float | None = None
+    expired: list[int] = field(default_factory=list)  # ids retired at the batch's start
+    sizes: dict[int, int] = field(default_factory=dict)  # len of each reported cluster
+
+
+BatchMetricInput = BatchReport  # a second name, for callers that build a batch only to score it
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ def _c_term(prev: int, cur: int) -> float:
     return 1.0 if prev == cur == 0 else 1.0 - abs(cur - prev) / max(cur, prev)
 
 
-def batch_terms(batches: list[BatchMetricInput]) -> list[BatchTerms]:
+def batch_terms(batches: list[BatchReport]) -> list[BatchTerms]:
     """The per-batch term series: what metrics.csv writes and S, R, C average."""
     return [
         BatchTerms(
@@ -137,12 +145,12 @@ def _mean_R(pair_terms: list[float | None]) -> float:
     return float(np.mean(defined))
 
 
-def score_S(batches: list[BatchMetricInput]) -> float:
+def score_S(batches: list[BatchReport]) -> float:
     """Mean S term over batches with a defined silhouette."""
     return _mean_S([_s_term(b.silhouette_raw) for b in batches])
 
 
-def score_R(batches: list[BatchMetricInput]) -> float:
+def score_R(batches: list[BatchReport]) -> float:
     """Mean R term over consecutive batch pairs that share a cluster id."""
     return _mean_R([_r_term(prev.reps, cur.reps) for prev, cur in zip(batches, batches[1:])])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta
 from importlib import resources
 from itertools import product
@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 
 from . import formats, gmm
-from .clustering import BatchReport, ClusterState, HyperParams
+from .clustering import ClusterState, HyperParams
 from .embeddings import (
     HashingProvider,
     load_precomputed,
@@ -24,7 +24,7 @@ from .embeddings import (
 )
 from .errors import ConfigError, EmptyStream, LogevoError
 from .metrics import (
-    BatchMetricInput,
+    BatchReport,
     BatchTerms,
     EvolutionScore,
     batch_terms,
@@ -34,7 +34,6 @@ from .metrics import (
 )
 from .records import (
     Batch,
-    BatchMode,
     BatchPlan,
     Level,
     LineFormat,
@@ -51,6 +50,8 @@ _BATCH_SHORTHAND = {
     "5d": BatchPlan.fixed(timedelta(days=5)),
     "snapshot30d+5d": BatchPlan.snapshot_plus(timedelta(days=30), timedelta(days=5)),
 }
+# Each batch mode, and whether it takes snapshot_days.
+_BATCH_MODES = {"FIXED_WINDOW": False, "SNAPSHOT_PLUS_WINDOW": True}
 
 
 @dataclass
@@ -76,9 +77,13 @@ class RunConfig:
     def resolved_plan(self) -> BatchPlan:
         if isinstance(self.batch, str):
             return _lookup(_BATCH_SHORTHAND, self.batch, "batch shorthand")
+        mode = self.batch["mode"]
+        takes_snapshot = _lookup(_BATCH_MODES, mode, "batch mode")
+        if takes_snapshot != ("snapshot_days" in self.batch):
+            need = "needs" if takes_snapshot else "takes no"
+            raise ValueError(f"mode {mode} {need} snapshot_days")
         days = {k: _days(k, v, _CALENDAR) for k, v in self.batch.items() if k != "mode"}
-        mode = BatchMode(self.batch["mode"])
-        return BatchPlan(mode, days["window_days"], days.get("snapshot_days"))
+        return BatchPlan(days["window_days"], days.get("snapshot_days"))
 
     def resolved_line_format(self) -> LineFormat:
         if isinstance(self.line_format, str):
@@ -135,7 +140,7 @@ def _schema_problem(name: str, doc) -> str | None:
 
 def read_json(path: str | Path, what: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8", errors="replace"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {what} {path}: {exc}") from exc
 
@@ -233,7 +238,7 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
     reports = []
     for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
         if not len(vecs):
-            reports.append(BatchReport(batch.index, [], 0 if params is None else K, {}, []))
+            reports.append(BatchReport(batch.index, [], 0 if params is None else K, {}))
             continue
         if params is None:
             params = gmm.fit_batch(vecs, gmm.fresh_params(vecs, K, seed))
@@ -249,7 +254,7 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
             for k, m in enumerate(members) if m
         }
         sizes = {k: len(members[k]) for k in reps}
-        reports.append(BatchReport(batch.index, list(zip(vecs, labels)), K, reps, [], sizes))
+        reports.append(BatchReport(batch.index, list(zip(vecs, labels)), K, reps, sizes=sizes))
     return reports
 
 
@@ -266,14 +271,12 @@ def _online_process(
 
 def compute_scores(
     reports: list[BatchReport], weights: tuple[float, float, float]
-) -> tuple[EvolutionScore, list[tuple[BatchMetricInput, BatchTerms]]]:
-    """The score of a run and its per-batch series, each batch with its terms."""
-    inputs = [
-        BatchMetricInput(r.index, r.points, r.nr_clust, r.reps, silhouette_batch(r.points))
-        for r in reports
-    ]
-    terms = batch_terms(inputs)
-    return score_series(terms, weights), list(zip(inputs, terms))
+) -> tuple[EvolutionScore, list[BatchTerms]]:
+    """The score of a run and each batch's terms; fills in each report's silhouette."""
+    for r in reports:
+        r.silhouette_raw = silhouette_batch(r.points)
+    terms = batch_terms(reports)
+    return score_series(terms, weights), terms
 
 
 def _write_outputs(
@@ -281,7 +284,7 @@ def _write_outputs(
     config: RunConfig,
     prep: Prepared,
     reports: list[BatchReport],
-    series: list[tuple[BatchMetricInput, BatchTerms]],
+    terms: list[BatchTerms],
     score: EvolutionScore,
     state: ClusterState | None,
     timings: dict[str, float],
@@ -295,11 +298,11 @@ def _write_outputs(
                 "start": b.start.isoformat(),
                 "end": b.end.isoformat(),
                 "n_records": len(b.records),
-                "nr_clust": inp.nr_clust,
-                "silhouette_raw": inp.silhouette_raw,
-                "expired": rep.expired,
+                "nr_clust": r.nr_clust,
+                "silhouette_raw": r.silhouette_raw,
+                "expired": r.expired,
             }
-            for b, (inp, _), rep in zip(prep.batches, series, reports)
+            for b, r in zip(prep.batches, reports)
         ],
         "score": {**asdict(score), "weights": list(score.weights)},
         "timings": timings,
@@ -315,9 +318,9 @@ def _write_outputs(
         writer.writerow(
             ["batch_index", "nr_clust", "silhouette_raw", "S_term", "R_term", "C_term"]
         )
-        for b, t in series:
-            numbers = ("" if v is None else f"{v:.9f}" for v in (b.silhouette_raw, t.S, t.R, t.C))
-            writer.writerow([b.index, b.nr_clust, *numbers])
+        for r, t in zip(reports, terms):
+            numbers = ("" if v is None else f"{v:.9f}" for v in (r.silhouette_raw, t.S, t.R, t.C))
+            writer.writerow([r.index, r.nr_clust, *numbers])
 
     # clusters.jsonl: one line per active cluster per batch
     with (out_dir / "clusters.jsonl").open("w") as fh:
@@ -351,6 +354,8 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     if state is not None:
         _check_resume(config, state.params)
     prep = prepare(config)
+    if state is not None:
+        _check_dimension(state, prep)
     timings = dict(prep.timings)
 
     t0 = time.perf_counter()
@@ -363,11 +368,11 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     timings["cluster_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    score, series = compute_scores(reports, tuple(config.weights))
+    score, terms = compute_scores(reports, tuple(config.weights))
     timings["metrics_s"] = time.perf_counter() - t0
 
     return _write_outputs(
-        Path(config.output_dir), config, prep, reports, series, score, state, timings
+        Path(config.output_dir), config, prep, reports, terms, score, state, timings
     )
 
 
@@ -384,11 +389,22 @@ def _check_resume(config: RunConfig, snapshot: HyperParams) -> None:
         raise ConfigError(f"params: {'; '.join(differ)}")
 
 
+def _check_dimension(state: ClusterState, prep: Prepared) -> None:
+    active = state.active_clusters()
+    dim = prep.vectors_by_batch[0].shape[1]  # an empty batch's array is (0, dim)
+    if active and len(active[0].cen) != dim:
+        raise ConfigError(
+            f"provider: its vectors have dimension {dim}, "
+            f"the snapshot's centroids {len(active[0].cen)}"
+        )
+
+
 _SWEEP_AXES = ("theta", "alpha", "gamma")
 
 
 def _sweep_cells(config: RunConfig, grid: dict[str, list]) -> list[HyperParams]:
-    """One HyperParams per grid cell, theta outermost; rejects a bad grid."""
+    """One HyperParams per grid cell, theta outermost. A bad grid shape or a cell
+    that ``check_config`` rejects in ``params`` is a ConfigError."""
     if config.algorithm != "ONLINE":
         raise ConfigError(
             f"sweep grids the online clusterer only, not algorithm {config.algorithm!r}"
@@ -399,15 +415,12 @@ def _sweep_cells(config: RunConfig, grid: dict[str, list]) -> list[HyperParams]:
     axes = [grid.get(name, [getattr(base, name)]) for name in _SWEEP_AXES]
     if not all(isinstance(values, (list, tuple)) and values for values in axes):
         raise ConfigError("each sweep grid entry must be a nonempty list")
-    cells = []
-    for theta, alpha, gamma in product(*axes):
-        try:
-            cells.append(replace(base, theta=theta, alpha=alpha, gamma=gamma))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"bad sweep grid cell theta={theta}, alpha={alpha}, gamma={gamma}: {exc}"
-            ) from exc
-    return cells
+    doc = asdict(config)
+    return [
+        check_config({**doc, "params": {**config.params, **dict(zip(_SWEEP_AXES, cell))}})
+        .resolved_params()
+        for cell in product(*axes)
+    ]
 
 
 def sweep(config: RunConfig, grid: dict[str, list]) -> list[dict]:

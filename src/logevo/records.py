@@ -193,6 +193,8 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
             rid, ts_raw = str(obj.get("id", f"{path.name}:{lineno}")), obj["timestamp"]
             level, text, source = map_level(str(obj["level"])), str(obj["text"]), obj.get("source")
             try:
+                if isinstance(ts_raw, bool):  # an int to Python, but not a time
+                    raise ValueError(f"{json.dumps(ts_raw)} is not a time")
                 if isinstance(ts_raw, (int, float)):
                     ts = datetime.fromtimestamp(ts_raw, tz=timezone.utc)
                 else:
@@ -203,31 +205,25 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
     return records
 
 
-class BatchMode(str, Enum):
-    FIXED_WINDOW = "FIXED_WINDOW"
-    SNAPSHOT_PLUS_WINDOW = "SNAPSHOT_PLUS_WINDOW"
-
-
 @dataclass(frozen=True)
 class BatchPlan:
-    mode: BatchMode
+    """Consecutive windows of ``window``, after one first batch of ``snapshot`` if given."""
+
     window: timedelta
     snapshot: timedelta | None = None
 
     def __post_init__(self):
-        if self.window <= timedelta(0):
-            raise ValueError("window duration must be positive")
-        if self.mode is BatchMode.SNAPSHOT_PLUS_WINDOW:
-            if self.snapshot is None or self.snapshot <= timedelta(0):
-                raise ValueError("snapshot duration must be positive")
+        for name, span in (("window", self.window), ("snapshot", self.snapshot)):
+            if span is not None and span <= timedelta(0):
+                raise ValueError(f"{name} duration must be positive")
 
     @staticmethod
     def fixed(window: timedelta) -> "BatchPlan":
-        return BatchPlan(BatchMode.FIXED_WINDOW, window)
+        return BatchPlan(window)
 
     @staticmethod
     def snapshot_plus(snapshot: timedelta, window: timedelta) -> "BatchPlan":
-        return BatchPlan(BatchMode.SNAPSHOT_PLUS_WINDOW, window, snapshot)
+        return BatchPlan(window, snapshot)
 
 
 @dataclass(frozen=True)
@@ -261,7 +257,7 @@ def plan_batches(records: list[LogRecord], plan: BatchPlan) -> list[Batch]:
 
     bounds: list[tuple[datetime, datetime]] = []
     cursor = anchor
-    if plan.mode is BatchMode.SNAPSHOT_PLUS_WINDOW:
+    if plan.snapshot is not None:
         bounds.append((cursor, _later(cursor, plan.snapshot)))
         cursor = bounds[-1][1]
     while cursor <= last:

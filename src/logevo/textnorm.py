@@ -21,7 +21,7 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     if path is None:
         text = resources.files("logevo.data").joinpath("stopwords.txt").read_text()
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             text = fh.read()
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 

@@ -163,6 +163,45 @@ def test_provider_load_time_counts_as_embedding(tmp_path, monkeypatch):
     assert prep.timings["embed_s"] >= 0.3 > prep.timings["ingest_s"]
 
 
+# Each side file starts with the bytes of a UTF-16 byte-order mark, which are not
+# UTF-8; what follows them, and how the run then ends.
+_NOT_UTF8 = {
+    "config": (None, "CONFIG: invalid JSON in config"),
+    "grid": (b'{"theta": [0.3]}', "CONFIG: invalid JSON in grid"),
+    "stopwords_path": (b"\nthe\n", ""),
+    "word_vectors": (b" 1 0 0\ndatabase 1 0 0\nfilesystem 0 1 0\nscheduler 0 0 1\n", ""),
+    "precomputed": (b'{"id": "r0", "vector": [1, 0]}\n', "PROVIDER: "),
+}
+
+
+@pytest.mark.parametrize("side_file", _NOT_UTF8)
+def test_side_file_that_is_not_utf8_reads_with_replacement(tmp_path, capsys, side_file):
+    body, outcome = _NOT_UTF8[side_file]
+    write_jsonl(tmp_path / "events.jsonl", make_evolution_jsonl(days=3, per_kind=4, seed=5))
+    config = {"input": str(tmp_path / "events.jsonl"), "format": "jsonl",
+              "params": {"theta": 0.3}, "output_dir": str(tmp_path / "out")}
+    side = tmp_path / "side"
+    if side_file == "stopwords_path":
+        config["stopwords_path"] = str(side)
+    elif side_file in ("word_vectors", "precomputed"):
+        config["provider"] = {"kind": side_file, "path": str(side)}
+    config_path = tmp_path / "c.json"
+    argv = ["run", "--config", str(config_path)]
+    if side_file == "config":
+        config_path.write_bytes(b"\xff\xfe" + json.dumps(config).encode())
+    else:
+        config_path.write_text(json.dumps(config))
+        side.write_bytes(b"\xff\xfe" + body)
+    if side_file == "grid":
+        argv = ["sweep", "--config", str(config_path), "--grid", str(side)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if outcome:
+        assert code == 1 and err.startswith(outcome) and err.count("\n") == 1, err
+    else:
+        assert (code, err) == (0, ""), err
+
+
 def test_missing_config_fields_rejected(tmp_path, capsys):
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps({"input": "x", "bogus_field": 1}))
@@ -275,6 +314,19 @@ def test_resume_takes_the_params_as_a_snapshot_holds_them(tmp_path):
     assert (tmp_path / "out" / "state.json").exists()
 
 
+def test_resume_needs_vectors_of_the_snapshot_dimension(tmp_path):
+    write_jsonl(tmp_path / "events.jsonl", make_evolution_jsonl(days=3, per_kind=4, seed=5))
+    config = dict(input=str(tmp_path / "events.jsonl"), format="jsonl", params={"theta": 0.3})
+    run(RunConfig(**config, output_dir=str(tmp_path / "first")))  # hashing, d 64
+    state = ClusterState.load(tmp_path / "first" / "state.json")
+    before = state.to_snapshot()
+    with pytest.raises(ConfigError, match=r"^provider: .* dimension 32, .* centroids 64$"):
+        run(RunConfig(**config, provider={"kind": "hashing", "d": 32},
+                      output_dir=str(tmp_path / "second")), state)
+    assert state.to_snapshot() == before  # no batch was clustered
+    assert not (tmp_path / "second").exists()
+
+
 def test_zero_centroid_run(tmp_path, capsys):
     # tok3 and tok10 hash to one slot with opposite signs (d 64, seed 0), so at
     # theta 2 they merge into a cluster whose centroid is exactly zero.
@@ -375,6 +427,10 @@ BAD_CONFIGS = [
     ({}, ["--algo", "gmm", "--rep", "levenshtein"], "representative"),
     ({"provider": {"kind": "hashing", "seed": 10**16}}, [], "provider: hashing seed"),
     ({"provider": {"kind": "hashing", "seed": -(10**15)}}, [], "provider: hashing seed"),
+    ({"batch": {"mode": "FIXED_WINDOW", "window_days": 1, "snapshot_days": 2}}, [],
+     "batch: mode FIXED_WINDOW takes no snapshot_days"),
+    ({"batch": {"mode": "SNAPSHOT_PLUS_WINDOW", "window_days": 1}}, [],
+     "batch: mode SNAPSHOT_PLUS_WINDOW needs snapshot_days"),
 ]
 
 
@@ -561,6 +617,10 @@ class TestSweep:
             ({"thetas": [0.3]}, [], "a sweep grid maps some of"),
             ([0.3], [], "a sweep grid maps some of"),
             ("{theta: [0.3]}", [], "invalid JSON in grid"),
+            # Grid values meet the same check as the config's params.
+            ({"gamma": [1.5], "theta": [True]}, [], "CONFIG: params."),
+            ({"gamma": [10, 1.5]}, [], "params.gamma: 1.5 is not of type 'integer'"),
+            ({"theta": [0.3, True]}, [], "params.theta: True is not of type 'number'"),
         ],
     )
     def test_bad_sweep_is_config_error_before_input_is_read(

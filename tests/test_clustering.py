@@ -33,6 +33,17 @@ def state_with_centroids(*centroids, **kw):
     return state
 
 
+def edited(state, cen=(), retired=()):
+    """``state`` loaded back from its snapshot, with the centroids in ``cen``
+    (id -> vector) replaced and the clusters in ``retired`` retired."""
+    doc = state.to_snapshot()
+    for cid, vec in dict(cen).items():
+        doc["clusters"][cid]["cen"] = np.asarray(vec, dtype=float).tolist()
+    for cid in retired:
+        doc["clusters"][cid]["active"] = False
+    return ClusterState.from_snapshot(doc)
+
+
 class TestNearest:
     def test_identical_direction(self):
         state = state_with_centroids((1, 0), (0, 1), theta=0.0)
@@ -50,8 +61,7 @@ class TestNearest:
             ClusterState().nearest_cluster(np.array([1.0, 0.0]))
 
     def test_inactive_clusters_skipped(self):
-        state = state_with_centroids((1, 0), (0, 1), theta=0.0)
-        state.get(0).active = False
+        state = edited(state_with_centroids((1, 0), (0, 1), theta=0.0), retired=[0])
         cid, _ = state.nearest_cluster(np.array([1.0, 0.0]))
         assert cid == 1
 
@@ -80,11 +90,9 @@ class TestNearestMatchesLoop:
         expired = state.expire_stale(T0 + timedelta(days=60))
         assert 0 < len(expired) < n_clusters - 1
         # one more retired out of turn, between batch boundaries
-        retired = state.active_clusters()[len(state.active_clusters()) // 2]
-        retired.active = False
-        assert retired.id not in [c.id for c in state.active_clusters()]
-        with pytest.raises(ValueError):
-            retired.active = True
+        retired = state.active_clusters()[len(state.active_clusters()) // 2].id
+        state = edited(state, retired=[retired])
+        assert retired not in [c.id for c in state.active_clusters()]
         for p in unit_vectors(rng, 50, d):
             cid, dist = state.nearest_cluster(p)
             want_id, want_dist = loop_nearest(state, p)
@@ -98,9 +106,7 @@ class TestNearestMatchesLoop:
         for i, p in enumerate(unit_vectors(rng, 40, d)):
             state.ingest_point(record(f"p{i}"), p)
         shared = unit_vectors(rng, 1, d)[0]
-        for cid in (37, 5, 21):
-            state.get(cid).cen = shared
-        state.get(2).active = False
+        state = edited(state, cen={cid: shared for cid in (37, 5, 21)}, retired=[2])
         for p in list(unit_vectors(rng, 20, d)) + [shared]:
             expected = loop_nearest(state, p)
             assert state.nearest_cluster(p) == expected
@@ -120,8 +126,6 @@ class TestNearestMatchesLoop:
                 np.testing.assert_array_equal(c.cen, points[c.id])
             else:  # a retired cluster keeps only its history
                 assert c.cen is None and not c.reservoir
-                with pytest.raises(ValueError, match="retired"):
-                    c.cen = points[c.id]
 
 
 class TestIngest:
@@ -275,8 +279,7 @@ class TestInvariants:
             state.ingest_point(record(f"p{i}"), p)
         probes = unit_vectors(rng, 10, 4)
         before = [state.nearest_cluster(p) for p in probes]
-        for c in state.clusters:
-            c.cen = c.cen * 7.5
+        state = edited(state, cen={c.id: c.cen * 7.5 for c in state.clusters})
         after = [state.nearest_cluster(p) for p in probes]
         assert [cid for cid, _ in before] == [cid for cid, _ in after]
 

@@ -292,6 +292,12 @@ class TestBatching:
         with pytest.raises(ValueError):
             BatchPlan.snapshot_plus(timedelta(0), timedelta(days=1))
 
+    def test_a_plan_is_a_window_and_an_optional_snapshot(self):
+        day, month = timedelta(days=1), timedelta(days=30)
+        assert BatchPlan.fixed(day) == BatchPlan(day)
+        assert BatchPlan.snapshot_plus(month, day) == BatchPlan(day, month)
+        assert BatchPlan(day).snapshot is None
+
 
 class TestJsonl:
     GOOD = {"timestamp": "2017-05-16T00:00:04Z", "level": "ERROR", "text": "disk full"}
@@ -320,7 +326,8 @@ class TestJsonl:
             read()
 
     @pytest.mark.parametrize(
-        "timestamp", ["yesterday", None, 1e20, float("nan"), "9999-12-31T23:00:00-05:00"]
+        "timestamp",
+        ["yesterday", None, 1e20, float("nan"), "9999-12-31T23:00:00-05:00", True, False],
     )
     def test_timestamp_neither_iso_nor_a_number(self, tmp_path, timestamp):
         path, read = self.read_with_second_line(

@@ -1,5 +1,7 @@
 """Representative extraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,15 @@ from helpers import record, unit_vectors
 
 
 def cluster_with(vectors, cen=None, texts=None):
+    """The one cluster of ``vectors`` at theta 2; with ``cen``, its reservoir
+    under that centroid, shaped as the extractors read a cluster."""
     state = ClusterState(HyperParams(theta=2.0))
     for i, v in enumerate(vectors):
         state.ingest_point(record(f"m{i}", "x" if texts is None else texts[i]), np.array(v, dtype=float))
     c = state.get(0)
-    if cen is not None:
-        c.cen = np.array(cen, dtype=float)
-    return c
+    if cen is None:
+        return c
+    return SimpleNamespace(id=c.id, cen=np.array(cen, dtype=float), reservoir=c.reservoir)
 
 
 class TestCentroid:
