@@ -51,12 +51,6 @@ class EmptyReservoir(LogevoError):
     cli_class = "METRIC"
 
 
-class TooLarge(LogevoError):
-    """Reservoir exceeds the configured cap for the quadratic-cost extractor."""
-
-    cli_class = "METRIC"
-
-
 class AllUndefined(LogevoError):
     """No batch produced a defined silhouette value."""
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyReservoir, TooLarge
+from .errors import EmptyReservoir
 
 LEVENSHTEIN_CAP = 256
 
@@ -41,47 +41,50 @@ def representative_by_centroid(cluster) -> Representative:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic two-row edit-distance DP."""
+    """Edit distance by Myers/Hyyrö bit vectors: one DP column per Python int.
+
+    Bit i of ``pv``/``mv`` says that D[i+1][j] - D[i][j] is +1/-1 in the
+    current column j; ``score`` tracks the last row, D[len(a)][j].
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a  # scan the shorter string
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    mask, last = (1 << len(a)) - 1, 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        score += bool(ph & last) - bool(mh & last)
+        ph = ph << 1 | 1  # row 0 grows by one per column
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
-def representative_by_levenshtein(
-    cluster,
-    cap: int = LEVENSHTEIN_CAP,
-    force: bool = False,
-) -> Representative:
-    """The medoid under pairwise edit distance.
+def representative_by_levenshtein(cluster) -> Representative:
+    """The medoid of the newest LEVENSHTEIN_CAP reservoir members under edit
+    distance; ties go to the earliest of them.
 
-    Quadratic in both member count and text length, hence the size cap;
-    pass force=True to run anyway.
+    Its cost is quadratic in the members considered, hence the window.
     """
-    members = cluster.reservoir
-    if not members:
+    if not cluster.reservoir:
         raise EmptyReservoir(f"cluster {cluster.id} has an empty reservoir")
-    if len(members) > cap and not force:
-        raise TooLarge(
-            f"cluster {cluster.id} reservoir has {len(members)} members (cap {cap})"
-        )
-    strings = [text for _, text, _ in members]
-    n = len(strings)
-    dist = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = levenshtein(strings[i], strings[j])
-            dist[i][j] = dist[j][i] = d
-    sums = [sum(row) for row in dist]
-    best_idx = min(range(n), key=lambda i: (sums[i], i))
-    rid, text, vec = members[best_idx]
-    return Representative(cluster.id, rid, -float(sums[best_idx]), vec, text)
+    members = list(cluster.reservoir)[-LEVENSHTEIN_CAP:]
+    sums = [0] * len(members)
+    for i, (_, s, _) in enumerate(members):
+        for j in range(i + 1, len(members)):
+            d = levenshtein(s, members[j][1])
+            sums[i] += d
+            sums[j] += d
+    best = sums.index(min(sums))
+    rid, text, vec = members[best]
+    return Representative(cluster.id, rid, -float(sums[best]), vec, text)

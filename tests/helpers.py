@@ -101,6 +101,20 @@ def silhouette_reference(points):
     return sum(scores) / n
 
 
+# --- two-row edit-distance reference ------------------------------------------
+
+
+def edit_distance_reference(a: str, b: str) -> int:
+    """Classic two-row Levenshtein DP: insert, delete and substitute cost 1."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
 # --- synthetic raw log files in the preset layouts --------------------------
 
 _MESSAGES = [

@@ -16,7 +16,7 @@ from logevo.clustering import ClusterState
 from logevo.errors import ConfigError
 from logevo.pipeline import RunConfig, run, sweep
 
-from helpers import T0, make_evolution_jsonl, make_loghub_sample
+from helpers import T0, make_evolution_jsonl, make_loghub_sample, record
 
 
 @pytest.fixture
@@ -234,6 +234,32 @@ def test_levenshtein_mode(workspace):
     config.representative = "LEVENSHTEIN"
     report = run(config)
     assert 0.0 <= report["score"]["lce"] <= 1.0
+
+
+def test_levenshtein_mode_past_256_members_at_default_cap(tmp_path, capsys):
+    # One family sends 150 short records a day, so in the second daily batch
+    # its reservoir (default cap 512) holds 300; the medoid takes the newest
+    # 256. It used to exit with `METRIC: ... reservoir has 300 members`.
+    noise = ["alpha", "beta", "delta", "sigma", "kappa"]
+    texts = [f"disk quota exceeded on volume seven {noise[k % 5]} {k}" for k in range(150)]
+    texts += [f"connection refused by remote host {word}" for word in noise]
+    records = [record(f"r{day}-{k}", text, T0 + timedelta(days=day, seconds=k))
+               for day in range(2) for k, text in enumerate(texts)]
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, records)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"input": str(input_path), "format": "jsonl",
+                                       "params": {"theta": 0.3}, "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(config_path), "--rep", "levenshtein"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    state = json.loads((tmp_path / "out" / "state.json").read_text())
+    assert max(len(c["reservoir_ids"]) for c in state["clusters"]) == 300
+    lines = clusters_lines(tmp_path / "out")
+    assert [b["nr_clust"] for b in report["batches"]] == [2, 2]
+    for b in report["batches"]:
+        ids = [row["id"] for row in lines if row["batch_index"] == b["index"]]
+        assert sorted(ids) == [0, 1]
 
 
 def clusters_lines(out_dir):

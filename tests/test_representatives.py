@@ -1,19 +1,22 @@
 """Representative extraction."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from logevo.clustering import ClusterState, HyperParams
-from logevo.errors import EmptyReservoir, TooLarge
+from logevo.errors import EmptyReservoir
 from logevo.representatives import (
+    LEVENSHTEIN_CAP,
     levenshtein,
     representative_by_centroid,
     representative_by_levenshtein,
 )
 
-from helpers import record, unit_vectors
+from helpers import edit_distance_reference, record, unit_vectors
 
 
 def cluster_with(vectors, cen=None, texts=None):
@@ -90,6 +93,24 @@ class TestLevenshteinDistance:
         assert levenshtein(a, b) == d
         assert levenshtein(b, a) == d
 
+    # A small alphabet keeps distances well below the lengths; the lengths
+    # straddle the 64- and 128-bit word sizes of the bit vectors.
+    _TEXTS = st.one_of(
+        st.text(alphabet="ab\u00e9\ufffd\u6f22 ", max_size=140),
+        st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]).flatmap(
+            lambda n: st.text(alphabet="ab\ufffd", min_size=n, max_size=n)),
+    )
+
+    @given(_TEXTS, _TEXTS)
+    @example("", "")
+    @example("", "\ufffd" * 64)
+    @example("a" * 65, "a" * 64 + "\u00e9")
+    @example("ab" * 64, "ba" * 64)
+    def test_equals_the_reference_and_is_symmetric(self, a, b):
+        d = edit_distance_reference(a, b)
+        assert levenshtein(a, b) == d
+        assert levenshtein(b, a) == d
+
 
 class TestLevenshteinMedoid:
     def test_spec_example(self):
@@ -120,13 +141,28 @@ class TestLevenshteinMedoid:
             c = cluster_with([(1, 0)] * n, texts=strings)
             rep = representative_by_levenshtein(c)
             sums = [
-                sum(levenshtein(s, t) for t in strings) for s in strings
+                sum(edit_distance_reference(s, t) for t in strings) for s in strings
             ]
             assert rep.record_id == f"m{int(np.argmin(sums))}"
 
-    def test_size_cap(self):
-        c = cluster_with([(1, 0)] * 6, texts=["t"] * 6)
-        with pytest.raises(TooLarge):
-            representative_by_levenshtein(c, cap=5)
-        rep = representative_by_levenshtein(c, cap=5, force=True)
-        assert rep.record_id == "m0"
+    def test_medoid_of_the_newest_members(self):
+        # 44 old members of one text, then 130 "aaaaaa" and 126 "aaabbb" in a
+        # shuffled order. Over the newest 256 the first "aaaaaa" wins (sums
+        # 378 against 390); over all 300 an "aaabbb" would (522 against 642).
+        rng = np.random.default_rng(14)
+        newest = ["aaaaaa"] * 130 + ["aaabbb"] * 126
+        rng.shuffle(newest)
+        strings = ["bbbbbb"] * 44 + newest
+        c = cluster_with([(1, 0)] * 300, texts=strings)
+        assert len(c.reservoir) == 300 > LEVENSHTEIN_CAP == 256
+
+        dist = functools.cache(edit_distance_reference)  # three distinct texts
+
+        def medoid(window):
+            sums = [sum(dist(s, t) for t in window) for s in window]
+            return sums.index(min(sums)), min(sums)
+
+        best, total = medoid(newest)
+        rep = representative_by_levenshtein(c)
+        assert (rep.record_id, rep.text, rep.score) == (f"m{44 + best}", "aaaaaa", -float(total))
+        assert strings[medoid(strings)[0]] == "aaabbb"
