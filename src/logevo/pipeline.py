@@ -193,8 +193,9 @@ def ingest(config: RunConfig) -> tuple[list[LogRecord], int]:
 def embed_records(config: RunConfig, records: list[LogRecord], provider) -> np.ndarray:
     """One unit row per record, in order."""
     stopwords = load_stopwords(config.stopwords_path)
+    table: dict[str, str | None] = {}  # each raw token's kept token, for this batch only
     return provider.embed(
-        [normalize(r.scrubbed_text, source_id=r.id, stopwords=stopwords) for r in records]
+        [normalize(r.scrubbed_text, r.id, stopwords, table) for r in records]
     )
 
 

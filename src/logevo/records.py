@@ -43,11 +43,15 @@ def map_level(token: str | None) -> Level:
 _URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*://\S*")
 
 # Longest alternatives first: a full datetime must not be eaten piecemeal.
+# Every alternative's first character is a digit; the lookahead lets the
+# engine pass every other position without trying the alternatives there.
 _TS_RE = re.compile(
+    r"(?=\d)(?:"
     r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}:\d{2}(?:\.\d+)?(?:Z|[+-]\d{2}:?\d{2})?)?"
     r"|\d{2}:\d{2}:\d{2}(?:\.\d+)?"
     r"|(?<!\d)\d{13}(?!\d)"
     r"|(?<!\d)\d{10}(?!\d)"
+    r")"
 )
 
 TS_TOKEN = "<TS>"
@@ -56,7 +60,8 @@ URL_TOKEN = "<URL>"
 
 def scrub(text: str) -> str:
     """Replace timestamps and URLs with placeholder tokens. Idempotent."""
-    text = _URL_RE.sub(URL_TOKEN, text)
+    if "://" in text:  # no URL without it
+        text = _URL_RE.sub(URL_TOKEN, text)
     return _TS_RE.sub(TS_TOKEN, text)
 
 
@@ -85,6 +90,14 @@ def _utc(t: datetime) -> datetime:
     return utc.replace(microsecond=0)
 
 
+_ISO_FORMAT = "%Y-%m-%d %H:%M:%S"
+# The times in _ISO_FORMAT that fromisoformat reads as strptime does. ASCII
+# digits only: strptime also takes other decimal digits, fromisoformat does
+# not. Hours stop at 23 in case a fromisoformat reads 24:00:00 as the next
+# midnight, which strptime never does.
+_ISO_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} (?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
+
+
 @dataclass(frozen=True)
 class LineFormat:
     """Regex-based line descriptor.
@@ -107,6 +120,7 @@ class LineFormat:
         if not {"timestamp", "text"} <= compiled.groupindex.keys():
             raise ValueError(f"pattern {self.pattern!r} lacks a group 'timestamp' or 'text'")
         object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "_iso", self.timestamp_format == _ISO_FORMAT)
 
     @property
     def regex(self) -> re.Pattern:
@@ -114,19 +128,32 @@ class LineFormat:
 
 
 def _first_line(line: str, fmt: LineFormat) -> tuple[datetime, Level, str, str | None] | None:
-    """Time, level, text and source of a line that starts a record; else None."""
+    """Time, level, text and source of a line that starts a record; else None.
+
+    A line whose ``timestamp`` group took no part in the match starts no
+    record; a ``text`` group that took none reads as "".
+    """
     m = fmt.regex.match(line)
     if m is None:
         return None
+    groups = m.groupdict()
+    stamp = groups["timestamp"]
+    if stamp is None:
+        return None
     try:
-        ts = datetime.strptime(m["timestamp"], fmt.timestamp_format)
+        if fmt._iso and _ISO_RE.fullmatch(stamp):
+            ts = datetime.fromisoformat(stamp)
+        else:
+            ts = datetime.strptime(stamp, fmt.timestamp_format)
         if fmt.default_year is not None:
             ts = ts.replace(year=fmt.default_year)
-        _utc(ts)  # a time past the calendar in UTC makes a continuation line
+        # Only an offset can put a time past the calendar in UTC, which makes
+        # the line a continuation line; a naive time always converts.
+        if ts.tzinfo is not None:
+            _utc(ts)
     except (ValueError, ParseError):
         return None
-    groups = m.groupdict()
-    return ts, map_level(groups.get("level")), groups["text"], groups.get("source")
+    return ts, map_level(groups.get("level")), groups["text"] or "", groups.get("source")
 
 
 def parse_loghub_line(line: str, fmt: LineFormat, record_id: str = "0") -> LogRecord:

@@ -63,25 +63,39 @@ class TokenSeq:
         return len(self.tokens)
 
 
+def _kept(raw: str, stopwords: frozenset[str]) -> str | None:
+    """The token that ``raw`` becomes, or None when it is dropped."""
+    if raw in _PLACEHOLDERS:
+        return raw
+    tok = stem(raw.lower())
+    return tok if tok and tok not in stopwords else None
+
+
 def normalize(
     text: str,
     source_id: str = "",
     stopwords: frozenset[str] | None = None,
+    table: dict[str, str | None] | None = None,
 ) -> TokenSeq:
     """Tokenize, lowercase, suffix-normalize, and drop stopwords.
 
     Stemming runs before the stopword filter so stems that collapse onto a
-    stopword ("doing" -> "do") are still removed, which keeps normalize
+    stopword ("others" -> "other") are still removed, which keeps normalize
     idempotent on its own output.
+
+    ``table`` maps each raw token seen so far to its kept token, or to None
+    when it is dropped; calls that pass the same dict share that work, so
+    they must pass the same ``stopwords`` too.
     """
     if stopwords is None:
         stopwords = load_stopwords()
+    if table is None:
+        table = {}
     out = []
     for raw in _TOKEN_RE.findall(text):
-        if raw in _PLACEHOLDERS:
-            out.append(raw)
-            continue
-        tok = stem(raw.lower())
-        if tok and tok not in stopwords:
+        if raw not in table:
+            table[raw] = _kept(raw, stopwords)
+        tok = table[raw]
+        if tok is not None:
             out.append(tok)
     return TokenSeq(tuple(out), source_id)

@@ -1,16 +1,18 @@
 """Parsing, scrubbing, and temporal batching."""
 
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from logevo import records as records_module
 from logevo.cli import main
 from logevo.errors import EmptyStream, ParseError
-from logevo.formats import LINUX, SIMPLE
+from logevo.formats import HDFS_2, LINUX, SIMPLE
 from logevo.records import (
+    _first_line,
     Batch,
     BatchPlan,
     Level,
@@ -84,6 +86,29 @@ class TestParse:
         assert map_level("WARNING") is Level.WARN
         assert map_level("trace") is Level.DEBUG
         assert map_level("notice") is Level.OTHER
+
+    # Fourteen digits as an HDFS_2 time. Some are not ASCII: strptime reads
+    # those, fromisoformat does not.
+    @given(st.one_of(
+        st.datetimes().map(lambda t: f"{t.year:04}{t.month:02}{t.day:02}"
+                                     f"{t.hour:02}{t.minute:02}{t.second:02}"),
+        st.text(alphabet="0123456789\u0663\uff12", min_size=14, max_size=14),
+    ))
+    @example("20170516000004")
+    @example("20170230000000")  # Feb 30
+    @example("20170516240000")  # hour 24
+    @example("20170516000060")  # second 60
+    @example("00000101000000")  # year 0000
+    @example("\u06630170516000004")
+    @example("2017051600000\uff14")
+    def test_an_iso_time_reads_as_strptime_reads_it(self, d):
+        stamp = f"{d[0:4]}-{d[4:6]}-{d[6:8]} {d[8:10]}:{d[10:12]}:{d[12:14]}"
+        try:
+            expected = datetime.strptime(stamp, "%Y-%m-%d %H:%M:%S")
+        except ValueError:
+            expected = None
+        first = _first_line(f"{stamp},978 INFO [main] org.apache.Foo: ok", HDFS_2)
+        assert (first and first[0]) == expected
 
 
 # Two lines whose second time, read through %z, is past year 9999 once in UTC.
@@ -165,6 +190,36 @@ class TestLoghubFile:
         assert main(["run", "--config", str(config_path)]) == code
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize(
+        "pattern, odd_line, raw_texts",
+        [(r"(?:(?P<timestamp>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}) )?(?P<level>\w+)? ?(?P<text>.*)",
+          "\tat a.B.c(B.java:1)", ["disk full\n\tat a.B.c(B.java:1)"]),
+         (r"(?P<timestamp>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}) (?P<level>\w+)(?: (?P<text>.*))?",
+          "2017-05-16 00:00:04 ERROR", ["disk full", ""])],
+        ids=["timestamp_group_unmatched", "text_group_unmatched"],
+    )
+    def test_a_run_on_a_pattern_with_an_optional_group(
+        self, tmp_path, capsys, pattern, odd_line, raw_texts
+    ):
+        # The timestamp group takes no part: a continuation line. The text group: "".
+        lines = [f"2017-05-{day} 0{hour}:00:00 ERROR {kind}" for day in (16, 17)
+                 for hour, kind in enumerate(("disk full", "connection refused"), start=1)]
+        lines.insert(1, odd_line)
+        text = "\n".join(lines) + "\n"
+        fmt = LineFormat("custom", pattern, "%Y-%m-%d %H:%M:%S")
+        records, skipped = self.read(tmp_path, text, fmt)
+        assert skipped == 0
+        assert [r.raw_text for r in records][:len(raw_texts)] == raw_texts
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "input": str(tmp_path / "raw.log"),
+            "line_format": {"name": fmt.name, "pattern": fmt.pattern,
+                            "timestamp_format": fmt.timestamp_format},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("depth", [0, 1, 50])
     def test_each_record_is_scrubbed_once(self, tmp_path, monkeypatch, depth):
         calls = []
@@ -175,6 +230,26 @@ class TestLoghubFile:
         assert len(records) == 3
         assert calls == [r.raw_text for r in records]
         assert all(r.raw_text.count("\n") == depth for r in records)
+
+
+# scrub before its URL guard and timestamp lookahead, kept as the reference.
+_REFERENCE_URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*://\S*")
+_REFERENCE_TS_RE = re.compile(
+    r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}:\d{2}(?:\.\d+)?(?:Z|[+-]\d{2}:?\d{2})?)?"
+    r"|\d{2}:\d{2}:\d{2}(?:\.\d+)?"
+    r"|(?<!\d)\d{13}(?!\d)"
+    r"|(?<!\d)\d{10}(?!\d)"
+)
+
+
+def scrub_reference(text: str) -> str:
+    return _REFERENCE_TS_RE.sub("<TS>", _REFERENCE_URL_RE.sub("<URL>", text))
+
+
+SCRUB_PIECES = [
+    *"0123456789", "-", ":", "T", ".", "Z", " ", "+", "://", "http", "x",
+    "1684058521", "1684058521123", "\u0663", "\uff12",
+]
 
 
 class TestScrub:
@@ -216,6 +291,17 @@ class TestScrub:
         text = " ".join(parts)
         once = scrub(text)
         assert scrub(once) == once
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.one_of(
+            st.sampled_from(SCRUB_PIECES), st.text(alphabet=st.characters(), max_size=3)
+        ), max_size=30).map("".join),
+    ))
+    @example("at 2023-05-14T10:22:01.5+02:00, http://a/1684058521123")
+    @example("\u0663\u0663:\u0663\u0663:\uff12\uff12 id=\u0663123456789")
+    def test_equals_the_two_regex_scrub(self, text):
+        assert scrub(text) == scrub_reference(text)
 
     @given(st.text(max_size=200))
     def test_length_bound(self, text):

@@ -3,8 +3,11 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from logevo.pipeline import RunConfig, embed_records
 from logevo.records import TS_TOKEN, URL_TOKEN
 from logevo.textnorm import TokenSeq, load_stopwords, normalize, stem
+
+from helpers import record
 
 
 def test_spec_example():
@@ -71,3 +74,46 @@ def test_deterministic_and_bounded(text):
 def test_source_id_carried():
     assert normalize("x failure", source_id="rec-9").source_id == "rec-9"
     assert isinstance(normalize("x"), TokenSeq)
+
+
+TABLE_TEXTS = [
+    "Connection timeouts occurring at <TS>",
+    "fetch <URL> failed at <TS> <TS>",
+    "others willing Others",  # stems onto the stopwords "other" and "will"
+    "",
+    "Connection connection CONNECTION timeouts",
+    "blk_1073741825 blk_1073741825 replicas",
+]
+
+
+@given(st.lists(st.one_of(st.sampled_from(TABLE_TEXTS), st.text(max_size=40)), max_size=12))
+def test_a_shared_token_table_changes_nothing(texts):
+    table = {}
+    shared = [normalize(text, str(i), table=table) for i, text in enumerate(TABLE_TEXTS + texts)]
+    assert shared == [normalize(text, str(i)) for i, text in enumerate(TABLE_TEXTS + texts)]
+    assert table["others"] is None and table["<TS>"] == TS_TOKEN and table["timeouts"] == "timeout"
+
+
+class _Recorder:
+    """A provider that keeps the token sequences of each batch."""
+
+    def __init__(self):
+        self.batches = []
+
+    def embed(self, seqs):
+        self.batches.append([seq.tokens for seq in seqs])
+        return np.zeros((len(seqs), 2))
+
+
+def test_embed_records_calls_share_no_token_table(tmp_path):
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("disk\n")
+    records = [record("a", "disk full"), record("b", "disk quota")]
+    provider = _Recorder()
+    for path in (None, str(stopwords), None):
+        embed_records(RunConfig(input="unused", stopwords_path=path), records, provider)
+    assert provider.batches == [
+        [("disk", "full"), ("disk", "quota")],
+        [("full",), ("quota",)],
+        [("disk", "full"), ("disk", "quota")],
+    ]
