@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -42,7 +43,11 @@ from .records import (
     read_jsonl,
     read_loghub_file,
 )
-from .representatives import representative_by_centroid, representative_by_levenshtein
+from .representatives import (
+    LEVENSHTEIN_CAP,
+    representative_by_centroid,
+    representative_by_levenshtein,
+)
 from .textnorm import load_stopwords, normalize
 
 _BATCH_SHORTHAND = {
@@ -124,16 +129,21 @@ def _lookup(table: dict, name: str, what: str):
     return table[name]
 
 
-def _schema_problem(name: str, doc) -> str | None:
-    """``where: what`` of the most relevant way ``doc`` breaks data/<name>.schema.json."""
+@functools.cache
+def _validator(name: str):
+    """The validator of data/<name>.schema.json, built once per process."""
     schema = json.loads(resources.files("logevo.data").joinpath(f"{name}.schema.json").read_text())
     # An integer is an int, not 2.0, and a tuple is an array.
     types = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
         "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
         "array": lambda _, v: isinstance(v, (list, tuple)),
     })
-    validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=types)
-    error = jsonschema.exceptions.best_match(validator(schema).iter_errors(doc))
+    return jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=types)(schema)
+
+
+def _schema_problem(name: str, doc) -> str | None:
+    """``where: what`` of the most relevant way ``doc`` breaks data/<name>.schema.json."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
     if error is not None:
         return f"{'.'.join(map(str, error.absolute_path)) or name}: {error.message}"
 
@@ -306,6 +316,7 @@ def _write_outputs(
             for b, r in zip(prep.batches, reports)
         ],
         "score": {**asdict(score), "weights": list(score.weights)},
+        "levenshtein_window": LEVENSHTEIN_CAP if config.representative == "LEVENSHTEIN" else None,
         "timings": timings,
     }
     problem = _schema_problem("report", report_doc)

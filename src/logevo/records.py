@@ -83,8 +83,10 @@ class LogRecord:
 
 def _utc(t: datetime) -> datetime:
     """``t`` in UTC to the second; ParseError when that leaves years 1 to 9999."""
+    if not t.tzinfo:
+        return t.replace(tzinfo=timezone.utc, microsecond=0)
     try:
-        utc = t.astimezone(timezone.utc) if t.tzinfo else t.replace(tzinfo=timezone.utc)
+        utc = t.astimezone(timezone.utc)
     except OverflowError as exc:
         raise ParseError(f"{t.isoformat()} falls outside years 1 to 9999 in UTC") from exc
     return utc.replace(microsecond=0)

@@ -43,11 +43,33 @@ def representative_by_centroid(cluster) -> Representative:
 def levenshtein(a: str, b: str) -> int:
     """Edit distance by Myers/Hyyrö bit vectors: one DP column per Python int.
 
-    Bit i of ``pv``/``mv`` says that D[i+1][j] - D[i][j] is +1/-1 in the
-    current column j; ``score`` tracks the last row, D[len(a)][j].
+    The shared prefix and suffix are cut off first, since they add nothing to
+    the distance, so two texts of one template cost only the span where they
+    differ. Bit i of ``pv``/``mv`` says that D[i+1][j] - D[i][j] is +1/-1 in
+    the current column j; the last column's deltas sum to D[len(a)][len(b)]
+    less D[0][len(b)] = len(b).
     """
     if a == b:
         return 0
+    la, lb = len(a), len(b)
+    short = min(la, lb)
+    # Binary searches by slice comparison, done in C: the longest common
+    # prefix, then the longest common suffix that does not overlap it.
+    lo, hi = 0, short
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    pre, lo, hi = lo, 0, short - lo
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[la - mid:la - lo] == b[lb - mid:lb - lo]:
+            lo = mid
+        else:
+            hi = mid - 1
+    a, b = a[pre:la - lo], b[pre:lb - lo]
     if len(a) < len(b):
         a, b = b, a  # scan the shorter string
     if not b:
@@ -55,19 +77,18 @@ def levenshtein(a: str, b: str) -> int:
     peq: dict[str, int] = {}
     for i, ch in enumerate(a):
         peq[ch] = peq.get(ch, 0) | 1 << i
-    mask, last = (1 << len(a)) - 1, 1 << (len(a) - 1)
-    pv, mv, score = mask, 0, len(a)
+    mask = (1 << len(a)) - 1
+    pv, mv = mask, 0
     for ch in b:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        score += bool(ph & last) - bool(mh & last)
         ph = ph << 1 | 1  # row 0 grows by one per column
         pv = (mh << 1 | ~(xv | ph)) & mask
         mv = ph & xv
-    return score
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
 def representative_by_levenshtein(cluster) -> Representative:

@@ -15,6 +15,7 @@ from logevo.cli import main
 from logevo.clustering import ClusterState
 from logevo.errors import ConfigError
 from logevo.pipeline import RunConfig, run, sweep
+from logevo.representatives import LEVENSHTEIN_CAP
 
 from helpers import T0, make_evolution_jsonl, make_loghub_sample, record
 
@@ -47,6 +48,7 @@ def test_run_happy_path(workspace, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     for key in ("S", "R", "C", "lce"):
         assert 0.0 <= report["score"][key] <= 1.0
+    assert report["levenshtein_window"] is None  # the centroid picks representatives
     assert "lce=" in capsys.readouterr().out
 
 
@@ -234,6 +236,7 @@ def test_levenshtein_mode(workspace):
     config.representative = "LEVENSHTEIN"
     report = run(config)
     assert 0.0 <= report["score"]["lce"] <= 1.0
+    assert report["levenshtein_window"] == LEVENSHTEIN_CAP == 256
 
 
 def test_levenshtein_mode_past_256_members_at_default_cap(tmp_path, capsys):
@@ -490,6 +493,17 @@ def test_run_and_sweep_check_a_config_object(tmp_path, extra):
     with pytest.raises(ConfigError):
         sweep(config, {"theta": [0.3]})
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, doc, message",
+    [("config", {"input": 3}, "input: 3 is not of type 'string'"),
+     ("report", {}, "report: 'config' is a required property")],
+)
+def test_schema_problem_is_the_same_on_a_repeated_call(name, doc, message):
+    # Each schema's validator is built once per process and then reused.
+    assert [pipeline._schema_problem(name, doc) for _ in range(2)] == [message, message]
+    assert pipeline._validator(name) is pipeline._validator(name)
 
 
 def test_lowercase_algorithm_and_representative_are_folded(workspace):

@@ -13,6 +13,7 @@ from logevo.errors import EmptyStream, ParseError
 from logevo.formats import HDFS_2, LINUX, SIMPLE
 from logevo.records import (
     _first_line,
+    _utc,
     Batch,
     BatchPlan,
     Level,
@@ -109,6 +110,34 @@ class TestParse:
             expected = None
         first = _first_line(f"{stamp},978 INFO [main] org.apache.Foo: ok", HDFS_2)
         assert (first and first[0]) == expected
+
+    @staticmethod
+    def _two_step_utc(t):
+        """``_utc`` as it was: the zone, then the microseconds, one ``replace`` each."""
+        try:
+            utc = t.astimezone(timezone.utc) if t.tzinfo else t.replace(tzinfo=timezone.utc)
+        except OverflowError as exc:
+            raise ParseError(f"{t.isoformat()} falls outside years 1 to 9999 in UTC") from exc
+        return utc.replace(microsecond=0)
+
+    _ZONES = st.none() | st.timedeltas(
+        min_value=-timedelta(hours=23, minutes=59), max_value=timedelta(hours=23, minutes=59)
+    ).map(timezone)
+
+    @given(st.datetimes(timezones=_ZONES))
+    @example(datetime(9999, 12, 31, 23, 0, tzinfo=timezone(timedelta(hours=-5))))
+    @example(datetime(1, 1, 1, 1, 0, tzinfo=timezone(timedelta(hours=5))))
+    @example(datetime(9999, 12, 31, 23, 59, 59, 999999))
+    @example(datetime(1, 1, 1, 0, 0, 0, 1))
+    def test_utc_equals_the_two_step_utc(self, t):
+        try:
+            expected = self._two_step_utc(t)
+        except ParseError as exc:
+            with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+                _utc(t)
+        else:
+            got = _utc(t)
+            assert (got.isoformat(), got.tzinfo) == (expected.isoformat(), expected.tzinfo)
 
 
 # Two lines whose second time, read through %z, is past year 9999 once in UTC.

@@ -1,6 +1,7 @@
 """Representative extraction."""
 
 import functools
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,6 +112,29 @@ class TestLevenshteinDistance:
         assert levenshtein(a, b) == d
         assert levenshtein(b, a) == d
 
+    # Shared ends are trimmed before the bit vectors run. The ends share
+    # letters with the cores, so a core can extend a shared end and the trim
+    # must still stop where the two strings differ.
+    _ENDS = st.text(alphabet="ab\U0001F600 ", max_size=110)
+
+    @given(_ENDS, _TEXTS, _TEXTS, _ENDS)
+    @example("", "aa", "a", "")  # a prefix and a suffix that would overlap
+    @example("", "abab", "ab", "")
+    @example("", "aXa", "a", "")
+    @example("abc", "def", "", "")  # one string is a prefix of the other
+    @example("", "abc", "", "def")  # one string is a suffix of the other
+    # cores of 63, 64, 65 and 129 characters that differ at both of their ends
+    @example("p" * 100, ("ab" * 65)[:63], ("ba" * 65)[:63], "")
+    @example("p" * 100, ("ab" * 65)[:64], ("ba" * 65)[:64], "s")
+    @example("p" * 100, ("ab" * 65)[:65], ("ba" * 65)[:65], "")
+    @example("p" * 100, ("ab" * 65)[:129], ("ba" * 65)[:129], "ss")
+    @example("\U0001F600" * 3, "\U0001F600a", "a\U0001F600", "\U0001F600")
+    def test_shared_ends_do_not_count(self, p, x, y, s):
+        a, b = p + x + s, p + y + s
+        d = edit_distance_reference(a, b)
+        assert levenshtein(a, b) == d
+        assert levenshtein(b, a) == d
+
 
 class TestLevenshteinMedoid:
     def test_spec_example(self):
@@ -144,6 +168,27 @@ class TestLevenshteinMedoid:
                 sum(edit_distance_reference(s, t) for t in strings) for s in strings
             ]
             assert rep.record_id == f"m{int(np.argmin(sums))}"
+
+    def test_matches_brute_force_on_templated_texts(self):
+        # One template with variable fields, as a cluster's members share one:
+        # the texts are longer than a 64-bit word and differ in short spans.
+        rng = np.random.default_rng(15)
+        strings = [
+            f"Exception in receiveBlock for block blk_{int(rng.integers(10 ** 9))} "
+            f"java.io.IOException: Connection reset by peer at 10.251.{int(rng.integers(256))}."
+            f"{int(rng.integers(256))}:{int(rng.integers(50010, 50020))} after {int(rng.integers(10))} retries"
+            for _ in range(12)
+        ]
+        assert min(map(len, strings)) > 64
+        c = cluster_with([(1, 0)] * len(strings), texts=strings)
+        sums = [0] * len(strings)
+        for (i, s), (j, t) in itertools.combinations(enumerate(strings), 2):
+            d = edit_distance_reference(s, t)
+            sums[i] += d
+            sums[j] += d
+        best = sums.index(min(sums))
+        rep = representative_by_levenshtein(c)
+        assert (rep.record_id, rep.text, rep.score) == (f"m{best}", strings[best], -float(sums[best]))
 
     def test_medoid_of_the_newest_members(self):
         # 44 old members of one text, then 130 "aaaaaa" and 126 "aaabbb" in a
