@@ -104,11 +104,8 @@ class ClusterState:
         self._rows: list[Cluster] = []  # active clusters, row order = id order
         self._cen = np.empty((0, 0))
         self._norm = np.empty(0)
-        # Representatives of the last batch, the picker that chose them, and
-        # the ids whose centroid or reservoir changed since.
-        self._reps: dict[int, Representative] = {}
-        self._rep_pick: Callable | None = None
-        self._stale_reps: set[int] = set()
+        # The last batch's rule, {id: Representative} and {id: size}.
+        self._last: tuple[Callable | None, dict, dict] = (None, {}, {})
 
     @property
     def next_id(self) -> int:
@@ -198,7 +195,6 @@ class ClusterState:
             c.len += 1
             c.last_updated = record.timestamp
             c.reservoir.append((record.id, record.scrubbed_text, p))
-            self._stale_reps.add(cid)
             return AssignmentOutcome(record.id, cid, False, dist)
 
         c = Cluster(self.next_id, 1, record.timestamp, record.timestamp, params.reservoir_cap)
@@ -228,32 +224,30 @@ class ClusterState:
         points and reservoir members it adds are views of those rows. Expiry
         runs only at the batch boundary so in-batch behavior is clock-independent.
         ``pick`` chooses a cluster's representative, by default the reservoir
-        member nearest the centroid. A cluster whose centroid and reservoir
-        did not change since the last batch keeps its representative.
+        member nearest the centroid. Every merge grows a cluster, so one whose
+        size the last batch reported keeps its representative, unless ``pick`` changed.
         """
         expired = self.expire_stale(batch.start)
         points = [
             (vec, self.ingest_point(record, vec).cluster_id)
             for record, vec in zip(batch.records, vectors)
         ]
-        active = self._rows
         if pick is None:
             pick = representative_by_centroid
-        previous = self._reps if pick is self._rep_pick else {}
-        reps = {}
-        for c in active:
-            if c.reservoir:
-                rep = None if c.id in self._stale_reps else previous.get(c.id)
-                reps[c.id] = rep if rep is not None else pick(c)
-        self._reps, self._rep_pick = reps, pick
-        self._stale_reps.clear()
+        last_pick, last_reps, last_sizes = self._last
+        reps, sizes = {}, {}
+        for c in self._rows:
+            reuse = pick is last_pick and last_sizes.get(c.id) == c.len
+            reps[c.id] = last_reps[c.id] if reuse else pick(c)
+            sizes[c.id] = c.len
+        self._last = (pick, reps, sizes)
         return BatchReport(
             index=batch.index,
             points=points,
-            nr_clust=len(active),
+            nr_clust=len(self._rows),
             reps=reps,
             expired=expired,
-            sizes={cid: self.clusters[cid].len for cid in reps},
+            sizes=sizes,
         )
 
     # -- persistence ---------------------------------------------------------
@@ -308,12 +302,13 @@ class ClusterState:
                 reservoir = [(rid, text, np.array(vec, dtype=float))
                              for rid, text, vec in zip(ids, texts or (), vectors or ())]
                 # A resumed run writes its representatives from these texts.
-                if texts is None or vectors is None or not len(ids) == len(texts) == len(vectors) or any(
+                if texts is None or vectors is None or not 0 < len(ids) == len(texts) == len(vectors) or any(
                     vec.shape != cen.shape for *_, vec in reservoir
                 ):
                     raise ValueError(
                         f"snapshot cluster {cd['id']} needs one reservoir text and one reservoir "
-                        f"vector of its centroid's dimension for each of its {len(ids)} reservoir ids"
+                        f"vector of its centroid's dimension for each of its {len(ids)} reservoir "
+                        f"ids, and at least one id"
                     )
                 cluster.reservoir.extend(reservoir)
                 state._attach(cluster, cen)

@@ -80,26 +80,32 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
         if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
             dim = int(head[1])
             start = 1
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        token, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-        if len(values) != dim:
-            raise ProviderError(
-                f"{path}:{lineno}: expected {dim} floats, got {len(values)}"
-            )
-        if token in vocab:  # first occurrence wins
-            continue
-        try:
-            vec = np.array(values, dtype=float)
-        except ValueError as exc:
-            raise ProviderError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
-        if not np.isfinite(vec).all():
-            raise ProviderError(f"{path}:{lineno}: the vector of {token!r} is not finite")
-        vocab[token] = vec
+            if dim < 1:
+                raise ProviderError(f"{path}:1: the header gives dimension {dim}, not at least 1")
+    with np.errstate(over="ignore"):  # an overflowing squared norm is inf, rejected below
+        for lineno, line in enumerate(lines[start:], start=start + 1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if not dim:
+                    raise ProviderError(f"{path}:{lineno}: the word {token!r} has no vector")
+            if len(values) != dim:
+                raise ProviderError(
+                    f"{path}:{lineno}: expected {dim} floats, got {len(values)}"
+                )
+            if token in vocab:  # first occurrence wins
+                continue
+            try:
+                vec = np.array(values, dtype=float)
+            except ValueError as exc:
+                raise ProviderError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
+            # A finite squared norm bounds the squared norm of any mean of vectors too.
+            if not np.isfinite(vec @ vec):
+                raise ProviderError(f"{path}:{lineno}: the vector of {token!r} is not finite")
+            vocab[token] = vec
     if dim is None or not vocab:
         raise ProviderError(f"{path}: no word vectors found")
     return WordAveragingProvider(vocab, dim)
@@ -161,7 +167,7 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
     try:
-        with path.open(encoding="utf-8", errors="replace") as fh:
+        with path.open(encoding="utf-8", errors="replace") as fh, np.errstate(over="ignore"):
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -172,7 +178,8 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
                     raise ProviderError(
                         f"{path}:{lineno}: not an object with an id and a vector of numbers: {exc}"
                     ) from exc
-                if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():  # null is NaN
+                # null is NaN; a squared norm past the float range is inf.
+                if vec.ndim != 1 or not vec.size or not np.isfinite(vec @ vec):
                     raise ProviderError(f"{path}:{lineno}: the vector is not a list of numbers")
                 if dim is None:
                     dim = vec.shape[0]

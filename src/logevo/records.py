@@ -106,7 +106,8 @@ class LineFormat:
 
     ``pattern`` must compile and define named groups ``timestamp`` and ``text``;
     ``level`` and ``source`` are optional. ``timestamp_format`` is a strptime
-    pattern. Formats without a year component (syslog-style) set ``default_year``.
+    pattern. Formats without a year component (syslog-style) set ``default_year``,
+    1 to 9999, and each time is read in that year.
     """
 
     name: str
@@ -121,6 +122,18 @@ class LineFormat:
             raise ValueError(f"pattern {self.pattern!r} does not compile: {exc}") from exc
         if not {"timestamp", "text"} <= compiled.groupindex.keys():
             raise ValueError(f"pattern {self.pattern!r} lacks a group 'timestamp' or 'text'")
+        year, ts_format = self.default_year, self.timestamp_format
+        if year is not None:
+            if not 1 <= year <= 9999:
+                raise ValueError(f"default_year {year} is outside years 1 to 9999")
+            # %c and %x read a year too.
+            if {"%Y", "%y", "%c", "%x"} & set(re.findall(r"%.", ts_format)):
+                raise ValueError(f"default_year goes only with a timestamp_format without a year, "
+                                 f"not {ts_format!r}")
+            # A year-less time is read in its year, so Feb 29 parses in a leap year.
+            ts_format = "%Y " + ts_format
+        object.__setattr__(self, "_year", "" if year is None else f"{year:04d} ")
+        object.__setattr__(self, "_strptime_format", ts_format)
         object.__setattr__(self, "_compiled", compiled)
         object.__setattr__(self, "_iso", self.timestamp_format == _ISO_FORMAT)
 
@@ -146,9 +159,7 @@ def _first_line(line: str, fmt: LineFormat) -> tuple[datetime, Level, str, str |
         if fmt._iso and _ISO_RE.fullmatch(stamp):
             ts = datetime.fromisoformat(stamp)
         else:
-            ts = datetime.strptime(stamp, fmt.timestamp_format)
-        if fmt.default_year is not None:
-            ts = ts.replace(year=fmt.default_year)
+            ts = datetime.strptime(fmt._year + stamp, fmt._strptime_format)
         # Only an offset can put a time past the calendar in UTC, which makes
         # the line a continuation line; a naive time always converts.
         if ts.tzinfo is not None:

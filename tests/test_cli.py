@@ -146,6 +146,23 @@ def test_missing_vectors_file_is_reported_before_the_input_is_read(tmp_path, cap
     assert err.startswith("PROVIDER: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("vectors", ["3 0\na\nb\nc\n", "a\nb\n"], ids=["header", "first_line"])
+def test_word_vectors_of_dimension_zero_are_a_provider_error(tmp_path, capsys, vectors):
+    # They used to load, and the first embed ended in an IndexError traceback.
+    (tmp_path / "vec.txt").write_text(vectors)
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, make_evolution_jsonl(days=2, per_kind=3))
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        "input": str(input_path), "format": "jsonl",
+        "provider": {"kind": "word_vectors", "path": str(tmp_path / "vec.txt")},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"PROVIDER: {tmp_path / 'vec.txt'}:") and err.count("\n") == 1, err
+
+
 def test_provider_load_time_counts_as_embedding(tmp_path, monkeypatch):
     input_path = tmp_path / "events.jsonl"
     write_jsonl(input_path, make_evolution_jsonl(days=3, per_kind=2, seed=5))
@@ -416,6 +433,11 @@ def _line_format(pattern):
     return {"name": "custom", "pattern": pattern, "timestamp_format": "%Y"}
 
 
+def _syslog_format(timestamp_format, default_year):
+    return {"name": "custom", "pattern": r"(?P<timestamp>\S+ \S+ \S+) (?P<text>.*)",
+            "timestamp_format": timestamp_format, "default_year": default_year}
+
+
 # Each is rejected by the config check, so the missing input is never opened.
 BAD_CONFIGS = [
     ({"representative": "levenstein"}, [], "representative"),
@@ -460,6 +482,11 @@ BAD_CONFIGS = [
      "batch: mode FIXED_WINDOW takes no snapshot_days"),
     ({"batch": {"mode": "SNAPSHOT_PLUS_WINDOW", "window_days": 1}}, [],
      "batch: mode SNAPSHOT_PLUS_WINDOW needs snapshot_days"),
+    ({"line_format": _syslog_format("%b %d %H:%M:%S", 0)}, [], "line_format: default_year 0"),
+    ({"line_format": _syslog_format("%b %d %H:%M:%S", 10000)}, [], "line_format: default_year"),
+    ({"line_format": _syslog_format("%Y %b %d", 2020)}, [], "line_format: default_year goes only"),
+    ({"line_format": _syslog_format("%d/%m/%y %H", 2020)}, [], "line_format: default_year goes"),
+    ({"line_format": _syslog_format("%c", 2020)}, [], "line_format: default_year goes"),
 ]
 
 

@@ -6,9 +6,11 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from logevo import clustering
 from logevo.clustering import ClusterState, HyperParams
 from logevo.errors import NoActiveClusters
 from logevo.records import Batch, BatchPlan, plan_batches
+from logevo.representatives import representative_by_centroid, representative_by_levenshtein
 
 from helpers import T0, record, replay_online, unit_vectors
 
@@ -209,6 +211,54 @@ class TestProcessBatch:
         report = state.process_batch(self._batch([]), [])
         assert report.points == []
         assert report.nr_clust == 1
+
+    def _counting(self, rule, calls):
+        def pick(c):
+            calls.append(c.id)
+            return rule(c)
+        return pick
+
+    def _three_clusters(self, rule=representative_by_centroid):
+        """A state whose first batch opened clusters 0, 1 and 2, that batch's
+        report, and a ``pick`` by ``rule`` that logs the cluster ids it is called on."""
+        calls = []
+        pick = self._counting(rule, calls)
+        state = ClusterState(HyperParams(theta=0.05))
+        vecs = [np.eye(3)[i] for i in range(3)]
+        first = state.process_batch(self._batch(vecs), vecs, pick)
+        assert calls == [0, 1, 2]
+        calls.clear()
+        return state, first, pick, calls
+
+    def _next_day(self, index, vecs=()):
+        return self._batch(list(vecs), index, T0 + timedelta(days=index)), list(vecs)
+
+    def test_only_a_cluster_that_grew_is_picked_again(self):
+        state, first, pick, calls = self._three_clusters()
+        second = state.process_batch(*self._next_day(1, [np.eye(3)[1]]), pick)
+        assert calls == [1]
+        assert second.sizes == {0: 1, 1: 2, 2: 1}
+        assert second.reps[0] is first.reps[0] and second.reps[2] is first.reps[2]
+        assert second.reps[1] == representative_by_centroid(state.get(1))
+
+    def test_a_point_ingested_between_batches_makes_its_cluster_picked_again(self):
+        state, first, pick, calls = self._three_clusters()
+        state.ingest_point(record("between", ts=T0 + timedelta(hours=12)), np.eye(3)[2])
+        second = state.process_batch(*self._next_day(1), pick)
+        assert calls == [2]
+        assert second.reps[0] is first.reps[0] and second.reps[1] is first.reps[1]
+
+    def test_a_change_of_rule_picks_every_cluster_again(self, monkeypatch):
+        state, first, _, _ = self._three_clusters(representative_by_levenshtein)
+        calls = []
+        counting = self._counting(representative_by_centroid, calls)
+        monkeypatch.setattr(clustering, "representative_by_centroid", counting)
+        by_centroid = state.process_batch(*self._next_day(1))
+        assert calls == [0, 1, 2]
+        assert all(by_centroid.reps[cid] is not first.reps[cid] for cid in range(3))
+        again = state.process_batch(*self._next_day(2))
+        assert calls == [0, 1, 2]
+        assert all(again.reps[cid] is by_centroid.reps[cid] for cid in range(3))
 
     def test_antipodal_stream_matches_replay(self):
         rng = np.random.default_rng(3)
@@ -435,8 +485,9 @@ class TestPersistence:
             lambda row: row["reservoir_vectors"].__setitem__(0, []),
             lambda row: row.pop("reservoir_texts"),
             lambda row: row["reservoir_texts"].pop(),
+            lambda row: [row[f"reservoir_{k}"].clear() for k in ("ids", "texts", "vectors")],
         ],
-        ids=["missing", "too_few", "wrong_dimension", "texts_missing", "texts_too_few"],
+        ids=["missing", "too_few", "wrong_dimension", "texts_missing", "texts_too_few", "empty"],
     )
     def test_rejects_active_row_without_its_reservoir_vectors(self, damage):
         rng = np.random.default_rng(13)

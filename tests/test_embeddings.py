@@ -65,9 +65,10 @@ class TestWordAveraging:
         with pytest.raises(ProviderError, match="nope.txt"):
             load_word_vectors(tmp_path / "nope.txt")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1e200"])
     def test_non_finite_value_names_line(self, tmp_path, value):
-        # Such a word would turn every record that uses it into e0.
+        # Such a word would turn every record that uses it into e0. 1e200 is
+        # finite, but the squared norm of its vector is not.
         path = tmp_path / "vec.txt"
         path.write_text(f"a 1 0\nb 1 {value}\n")
         with pytest.raises(ProviderError, match=rf"^{path}:2: the vector of 'b' is not finite$"):
@@ -226,6 +227,7 @@ class TestPrecomputed:
             ('{"id": "r1", "vector": []}', "the vector is not a list of numbers"),
             ('{"id": "r1", "vector": 1.0}', "the vector is not a list of numbers"),
             ('{"id": "r1", "vector": [[1.0], [0.0]]}', "the vector is not a list of numbers"),
+            ('{"id": "r1", "vector": [1e308, 1e308]}', "the vector is not a list of numbers"),
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line, detail):

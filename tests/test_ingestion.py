@@ -188,6 +188,20 @@ class TestLoghubFile:
         with pytest.raises(ParseError):
             parse_loghub_line("2017-13-45 00:00:00 ERROR bad", SIMPLE)
 
+    @pytest.mark.parametrize("year, starts_a_record", [(2020, True), (2017, False)])
+    def test_a_year_less_time_is_read_in_the_default_year(self, tmp_path, year, starts_a_record):
+        # Feb 29 exists only in a leap year; in another year it is a bad time.
+        fmt = LineFormat("syslog", LINUX.pattern, LINUX.timestamp_format, default_year=year)
+        text = "Feb 28 10:00:00 combo kernel: a\nFeb 29 10:00:00 combo kernel: b\n"
+        records, skipped = self.read(tmp_path, text, fmt)
+        assert skipped == 0
+        if starts_a_record:
+            assert [r.raw_text for r in records] == ["kernel: a", "kernel: b"]
+            assert records[1].timestamp == datetime(2020, 2, 29, 10, tzinfo=timezone.utc)
+        else:
+            assert [r.raw_text for r in records] == ["kernel: a\nFeb 29 10:00:00 combo kernel: b"]
+        assert records[0].timestamp == datetime(year, 2, 28, 10, tzinfo=timezone.utc)
+
     def test_a_line_past_the_calendar_in_utc_continues_the_record(self, tmp_path):
         records, skipped = self.read(tmp_path, PAST_THE_CALENDAR, ISO_OFFSET)
         assert skipped == 0
