@@ -11,6 +11,7 @@ retired from assignment and the census.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -41,8 +42,8 @@ class HyperParams:
             raise ValueError("theta must be in [0, 2]")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.gamma < 1 or self.reservoir_cap < 1:
-            raise ValueError("gamma and reservoir_cap must be positive integers")
+        if self.gamma < 1 or not 1 <= self.reservoir_cap <= sys.maxsize:  # a deque's maxlen
+            raise ValueError(f"gamma must be positive and reservoir_cap in [1, {sys.maxsize}]")
         if self.staleness <= timedelta(0):
             raise ValueError("staleness must be positive")
 

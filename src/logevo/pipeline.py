@@ -13,7 +13,6 @@ from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
-import jsonschema
 import numpy as np
 
 from . import formats, gmm
@@ -130,22 +129,75 @@ def _lookup(table: dict, name: str, what: str):
 
 
 @functools.cache
-def _validator(name: str):
-    """The validator of data/<name>.schema.json, built once per process."""
-    schema = json.loads(resources.files("logevo.data").joinpath(f"{name}.schema.json").read_text())
-    # An integer is an int, not 2.0, and a tuple is an array.
-    types = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
-        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
-        "array": lambda _, v: isinstance(v, (list, tuple)),
-    })
-    return jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=types)(schema)
+def _schema(name: str):
+    """data/<name>.schema.json, read once per process."""
+    return json.loads(resources.files("logevo.data").joinpath(f"{name}.schema.json").read_text())
+
+
+# An integer is an int, not 2.0; neither it nor a number is a bool; a tuple is an array.
+_TYPES = {"object": dict, "array": (list, tuple), "string": str, "integer": int,
+          "number": (int, float), "boolean": bool, "null": type(None)}
+_KEYWORDS = set("$schema title description type properties required additionalProperties items"
+                " minItems maxItems minimum maximum enum const allOf if then".split())
+
+
+def _is(doc, name: str) -> bool:
+    return isinstance(doc, _TYPES[name]) and not (isinstance(doc, bool) and name != "boolean")
+
+
+def _problems(schema, doc, path=()):
+    """Each (path, message) by which ``doc`` breaks ``schema``, in schema key order and
+    jsonschema's words. A keyword the checker does not know is a bug in the program."""
+    if schema is True:
+        return
+    unknown = set(schema) - _KEYWORDS if isinstance(schema, dict) else {repr(schema)}
+    if unknown:
+        raise LogevoError(f"the schema checker does not know {sorted(unknown)}")
+    for key, value in schema.items():
+        if key == "type":
+            types = [value] if isinstance(value, str) else value
+            if not any(_is(doc, t) for t in types):
+                yield path, f"{doc!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "properties" and _is(doc, "object"):
+            for name in [k for k in value if k in doc]:
+                yield from _problems(value[name], doc[name], (*path, name))
+        elif key == "required" and _is(doc, "object"):
+            yield from ((path, f"{k!r} is a required property") for k in value if k not in doc)
+        elif key == "additionalProperties" and _is(doc, "object"):
+            extra = sorted((k for k in doc if k not in schema.get("properties", {})), key=str)
+            if value is False and extra:
+                names, verb = ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+            elif value is not False:
+                for name in extra:
+                    yield from _problems(value, doc[name], (*path, name))
+        elif key == "items" and _is(doc, "array"):
+            for i, item in enumerate(doc):
+                yield from _problems(value, item, (*path, i))
+        elif key == "minItems" and _is(doc, "array") and len(doc) < value:
+            yield path, f"{doc!r} is too short"
+        elif key == "maxItems" and _is(doc, "array") and len(doc) > value:
+            yield path, f"{doc!r} is too long"
+        elif key == "minimum" and _is(doc, "number") and doc < value:
+            yield path, f"{doc!r} is less than the minimum of {value!r}"
+        elif key == "maximum" and _is(doc, "number") and doc > value:
+            yield path, f"{doc!r} is greater than the maximum of {value!r}"
+        elif key == "enum" and doc not in value:  # both files' enum and const values are strings
+            yield path, f"{doc!r} is not one of {value!r}"
+        elif key == "const" and doc != value:
+            yield path, f"{value!r} was expected"
+        elif key == "allOf":
+            for sub in value:
+                yield from _problems(sub, doc, path)
+        elif key == "if" and "then" in schema and next(_problems(value, doc, path), None) is None:
+            yield from _problems(schema["then"], doc, path)
 
 
 def _schema_problem(name: str, doc) -> str | None:
-    """``where: what`` of the most relevant way ``doc`` breaks data/<name>.schema.json."""
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
-    if error is not None:
-        return f"{'.'.join(map(str, error.absolute_path)) or name}: {error.message}"
+    """``where: what`` of the shallowest, then first, way ``doc`` breaks data/<name>.schema.json."""
+    problem = min(_problems(_schema(name), doc), key=lambda p: len(p[0]), default=None)
+    if problem is not None:
+        return f"{'.'.join(map(str, problem[0])) or name}: {problem[1]}"
 
 
 def read_json(path: str | Path, what: str):

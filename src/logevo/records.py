@@ -106,8 +106,8 @@ class LineFormat:
 
     ``pattern`` must compile and define named groups ``timestamp`` and ``text``;
     ``level`` and ``source`` are optional. ``timestamp_format`` is a strptime
-    pattern. Formats without a year component (syslog-style) set ``default_year``,
-    1 to 9999, and each time is read in that year.
+    pattern that compiles. Formats without a year component (syslog-style) set
+    ``default_year``, 1 to 9999, and each time is read in that year.
     """
 
     name: str
@@ -132,6 +132,11 @@ class LineFormat:
                                  f"not {ts_format!r}")
             # A year-less time is read in its year, so Feb 29 parses in a leap year.
             ts_format = "%Y " + ts_format
+        try:  # strptime compiles the format first, and only then fails to match ""
+            datetime.strptime("", ts_format)
+        except (ValueError, re.error) as exc:  # a bad, stray or repeated directive
+            if not str(exc).startswith("time data"):
+                raise ValueError(f"timestamp_format {self.timestamp_format!r}: {exc}") from None
         object.__setattr__(self, "_year", "" if year is None else f"{year:04d} ")
         object.__setattr__(self, "_strptime_format", ts_format)
         object.__setattr__(self, "_compiled", compiled)

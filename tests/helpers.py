@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from datetime import datetime, timedelta, timezone
+from importlib import resources
 
 import numpy as np
 
@@ -113,6 +116,23 @@ def edit_distance_reference(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+# --- jsonschema, the oracle of the schema checker ----------------------------
+
+
+@functools.cache
+def schema_oracle(name: str):
+    """A jsonschema validator of data/<name>.schema.json with logevo's types: an
+    integer is an int, not 2.0 or True, and a tuple is an array."""
+    import jsonschema  # a test dependency only: a run never imports it
+
+    schema = json.loads(resources.files("logevo.data").joinpath(f"{name}.schema.json").read_text())
+    types = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
+        "array": lambda _, v: isinstance(v, (list, tuple)),
+    })
+    return jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=types)(schema)
 
 
 # --- synthetic raw log files in the preset layouts --------------------------

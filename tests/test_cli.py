@@ -3,9 +3,13 @@
 import csv
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,11 +17,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from logevo import pipeline
 from logevo.cli import main
 from logevo.clustering import ClusterState
-from logevo.errors import ConfigError
+from logevo.errors import ConfigError, LogevoError
 from logevo.pipeline import RunConfig, run, sweep
 from logevo.representatives import LEVENSHTEIN_CAP
 
-from helpers import T0, make_evolution_jsonl, make_loghub_sample, record
+from helpers import T0, make_evolution_jsonl, make_loghub_sample, record, schema_oracle
 
 
 @pytest.fixture
@@ -487,6 +491,11 @@ BAD_CONFIGS = [
     ({"line_format": _syslog_format("%Y %b %d", 2020)}, [], "line_format: default_year goes only"),
     ({"line_format": _syslog_format("%d/%m/%y %H", 2020)}, [], "line_format: default_year goes"),
     ({"line_format": _syslog_format("%c", 2020)}, [], "line_format: default_year goes"),
+    # strptime cannot compile either format, so every line would fail to parse
+    ({"line_format": _syslog_format("%H %H", None)}, [], "line_format: timestamp_format '%H %H'"),
+    ({"line_format": _syslog_format("%Q %H", None)}, [], "line_format: timestamp_format '%Q %H'"),
+    # a deque holds at most sys.maxsize members
+    ({"params": {"reservoir_cap": 10**20}}, [], "params: gamma must be positive and reservoir_cap"),
 ]
 
 
@@ -528,9 +537,57 @@ def test_run_and_sweep_check_a_config_object(tmp_path, extra):
      ("report", {}, "report: 'config' is a required property")],
 )
 def test_schema_problem_is_the_same_on_a_repeated_call(name, doc, message):
-    # Each schema's validator is built once per process and then reused.
+    # Each schema is read once per process and then reused.
     assert [pipeline._schema_problem(name, doc) for _ in range(2)] == [message, message]
-    assert pipeline._validator(name) is pipeline._validator(name)
+    assert pipeline._schema(name) is pipeline._schema(name)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # the shallowest problem, however deep the others
+        ({"input": "x", "gmm": {"K": "x"}, "format": "csv"},
+         "format: 'csv' is not one of ['loghub', 'jsonl']"),
+        # among equally shallow ones, the first in the schema's key order, not the document's
+        ({"format": "csv", "input": 3}, "input: 3 is not of type 'string'"),
+        ({"zz": 1}, "config: 'input' is a required property"),
+        ({"input": "x", "x": 1}, "config: Additional properties are not allowed ('x' was unexpected)"),
+        ({"input": "x", "zz": 1, "aa": 2},
+         "config: Additional properties are not allowed ('aa', 'zz' were unexpected)"),
+        ({"input": "x", "provider": {"kind": "word_vectors", "path": 1}},
+         "provider.path: 1 is not of type 'string'"),
+    ],
+)
+def test_schema_problem_is_the_shallowest_then_the_first(doc, message):
+    assert pipeline._schema_problem("config", doc) == message
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [{"oneOf": [{"type": "string"}]},
+     {"type": "object", "properties": {"input": {"type": "string", "pattern": "^/"}}},
+     {"properties": {"input": False}}],
+)
+def test_a_schema_keyword_the_checker_does_not_know_is_a_bug(workspace, monkeypatch, capsys, schema):
+    tmp_path, config_path, _ = workspace
+    monkeypatch.setattr(pipeline, "_schema", lambda name: schema)
+    with pytest.raises(LogevoError):
+        pipeline._schema_problem("config", {"input": "x"})
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("INTERNAL: the schema checker does not know")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_imports_no_jsonschema(workspace):
+    _, config_path, _ = workspace
+    code = ("import sys; from logevo.cli import main\n"
+            "assert main(['run', '--config', sys.argv[1]]) == 0\n"
+            "roots = {name.split('.')[0] for name in sys.modules}\n"
+            "print(sorted(roots & {'jsonschema', 'referencing', 'rpds', 'attrs'}))")
+    src = str(Path(pipeline.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(config_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 def test_lowercase_algorithm_and_representative_are_folded(workspace):
@@ -592,6 +649,78 @@ def test_fuzzed_config_is_one_line_and_writes_nothing(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.split(": ")[0] in ("CONFIG", "IO", "PROVIDER"), err
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def _agrees_with_the_oracle(name, doc):
+    """The checker and jsonschema accept the same documents; the checker names a
+    path where jsonschema finds an error and, when jsonschema finds just one, its words."""
+    errors = list(schema_oracle(name).iter_errors(doc))
+    problem = pipeline._schema_problem(name, doc)
+    assert (problem is None) == (not errors), (problem, [e.message for e in errors])
+    where = [f"{'.'.join(map(str, e.absolute_path)) or name}: " for e in errors]
+    assert problem is None or any(problem.startswith(w) for w in where), (problem, where)
+    if len(errors) == 1:
+        expected = where[0] + errors[0].message
+        # jsonschema 4.26 sorts several unexpected names; older releases, back to the
+        # 4.0 floor, may list them in another order, so there only the characters must agree.
+        if errors[0].validator == "additionalProperties" and problem != expected:
+            assert sorted(problem) == sorted(expected), (problem, expected)
+        else:
+            assert problem == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_CONFIG_DOCS)
+def test_schema_checker_agrees_with_jsonschema_on_configs(doc):
+    _agrees_with_the_oracle("config", doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"input": "x", "weights": [0.25] * 4},
+     {"input": "x", "weights": (0.5, 0.25, 0.25)},
+     {"input": "x", "weights": [True, 0, 0]},
+     {"input": "x", "gmm": {"K": 2.0, "seed": True}},
+     {"input": "x", "provider": {"kind": "hashing", "path": "v.txt"}},
+     {"input": "x", "provider": {"kind": "precomputed", "d": 8}},
+     {"input": "x", "provider": {"kind": "glove"}},
+     {"input": "x", "line_format": {"name": "x", "zz": 1, "aa": 2}},
+     {"input": "x", "output_dir": None, "format": 1, "batch": {"mode": 1}}],
+)
+def test_schema_checker_agrees_with_jsonschema_on_chosen_configs(doc):
+    _agrees_with_the_oracle("config", doc)
+
+
+@pytest.fixture(scope="module")
+def real_report(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("report")
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, make_evolution_jsonl(days=4, per_kind=4, seed=5))
+    return run(RunConfig(input=str(input_path), format="jsonl", params={"theta": 0.3},
+                         representative="LEVENSHTEIN", output_dir=str(tmp_path / "out")))
+
+
+def _paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_schema_checker_agrees_with_jsonschema_on_reports(real_report, data):
+    path = data.draw(st.sampled_from(list(_paths(real_report))[1:]), label="path")
+    value = data.draw(_ANY_JSON, label="value")
+    _agrees_with_the_oracle("report", _replaced(real_report, path, value))
 
 
 _GOOD_ROW = st.fixed_dictionaries(
