@@ -96,8 +96,6 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
                 raise ProviderError(
                     f"{path}:{lineno}: expected {dim} floats, got {len(values)}"
                 )
-            if token in vocab:  # first occurrence wins
-                continue
             try:
                 vec = np.array(values, dtype=float)
             except ValueError as exc:
@@ -105,7 +103,7 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
             # A finite squared norm bounds the squared norm of any mean of vectors too.
             if not np.isfinite(vec @ vec):
                 raise ProviderError(f"{path}:{lineno}: the vector of {token!r} is not finite")
-            vocab[token] = vec
+            vocab.setdefault(token, vec)  # a repeated word, checked all the same, keeps its first
     if dim is None or not vocab:
         raise ProviderError(f"{path}: no word vectors found")
     return WordAveragingProvider(vocab, dim)
@@ -187,7 +185,7 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
                     raise ProviderError(
                         f"{path}:{lineno}: vector dimension {vec.shape[0]} != {dim}"
                     )
-                table[rid] = vec
+                table.setdefault(rid, vec)  # a repeated id keeps its first vector, as a word does
     except OSError as exc:
         raise ProviderError(f"cannot read precomputed vectors from {path}: {exc}") from exc
     if dim is None:

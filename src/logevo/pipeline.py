@@ -267,18 +267,20 @@ class Prepared:
 
     batches: list[Batch]
     vectors_by_batch: list[np.ndarray]
-    n_records: int
     skipped: int
     timings: dict[str, float]
 
 
-def prepare(config: RunConfig) -> Prepared:
+def prepare(config: RunConfig, state: ClusterState | None = None) -> Prepared:
     """Ingest, plan batches and embed: the stages that `run` and `sweep` share.
-    The provider and the stopwords load first, and book to embedding time."""
+    The provider and the stopwords load first, and book to embedding time; a
+    resumed ``state`` is checked against them before any input is read."""
     t0 = time.perf_counter()
     provider = config.resolved_provider()
     load_stopwords(config.stopwords_path)  # cached for embed_records
     load_s = time.perf_counter() - t0
+    if state is not None:
+        _check_resume(config, state, provider.dim)
 
     t0 = time.perf_counter()
     records, skipped = ingest(config)
@@ -290,9 +292,7 @@ def prepare(config: RunConfig) -> Prepared:
     batches = plan_batches(records, config.resolved_plan())
     vectors_by_batch = [embed_records(config, list(b.records), provider) for b in batches]
     embed_s = load_s + time.perf_counter() - t0
-    return Prepared(
-        batches, vectors_by_batch, len(records), skipped, {"ingest_s": ingest_s, "embed_s": embed_s}
-    )
+    return Prepared(batches, vectors_by_batch, skipped, {"ingest_s": ingest_s, "embed_s": embed_s})
 
 
 def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
@@ -354,7 +354,7 @@ def _write_outputs(
 ) -> dict:
     report_doc = {
         "config": asdict(config),
-        "parse": {"records": prep.n_records, "skipped": prep.skipped},
+        "parse": {"records": sum(len(b.records) for b in prep.batches), "skipped": prep.skipped},
         "batches": [
             {
                 "index": b.index,
@@ -415,11 +415,7 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     params the config must repeat.
     """
     config = check_config(asdict(config))
-    if state is not None:
-        _check_resume(config, state.params)
-    prep = prepare(config)
-    if state is not None:
-        _check_dimension(state, prep)
+    prep = prepare(config, state)
     timings = dict(prep.timings)
 
     t0 = time.perf_counter()
@@ -440,10 +436,12 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     )
 
 
-def _check_resume(config: RunConfig, snapshot: HyperParams) -> None:
+def _check_resume(config: RunConfig, state: ClusterState, dim: int) -> None:
+    """A snapshot resumes only the online clusterer, with its own params and
+    vectors of its centroids' dimension."""
     if config.algorithm == "GMM":
         raise ConfigError("algorithm: GMM cannot resume from a cluster-state snapshot")
-    params = config.resolved_params()
+    params, snapshot = config.resolved_params(), state.params
     differ = [
         f"{f.name} {getattr(params, f.name)} is not the snapshot's {getattr(snapshot, f.name)}"
         for f in fields(HyperParams)
@@ -451,11 +449,7 @@ def _check_resume(config: RunConfig, snapshot: HyperParams) -> None:
     ]
     if differ:
         raise ConfigError(f"params: {'; '.join(differ)}")
-
-
-def _check_dimension(state: ClusterState, prep: Prepared) -> None:
     active = state.active_clusters()
-    dim = prep.vectors_by_batch[0].shape[1]  # an empty batch's array is (0, dim)
     if active and len(active[0].cen) != dim:
         raise ConfigError(
             f"provider: its vectors have dimension {dim}, "

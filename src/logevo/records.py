@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 
-from .errors import EmptyStream, ParseError
+from .errors import ConfigError, EmptyStream, ParseError
 
 
 class Level(str, Enum):
@@ -279,6 +280,9 @@ class Batch:
     records: tuple[LogRecord, ...] = field(default_factory=tuple)
 
 
+# Hourly windows over ten years fit; each batch costs time and memory even when empty.
+MAX_BATCHES = 100_000
+
 _END_OF_TIME = datetime.max.replace(tzinfo=timezone.utc)
 
 
@@ -293,28 +297,29 @@ def plan_batches(records: list[LogRecord], plan: BatchPlan) -> list[Batch]:
     Windows are anchored at midnight UTC of the first record's day. Empty
     windows are emitted as empty batches; the cluster-count metric needs them.
     A window that would end past the calendar ends at its last representable time.
+    A plan of more than ``MAX_BATCHES`` windows is refused before any is built.
     """
     if not records:
         raise EmptyStream("cannot batch an empty record stream")
     records = sorted(records, key=lambda r: r.timestamp)  # stable
-    first, last = records[0].timestamp, records[-1].timestamp
+    times = [r.timestamp for r in records]
+    first, last = times[0], times[-1]
     anchor = first.replace(hour=0, minute=0, second=0, microsecond=0)
 
-    bounds: list[tuple[datetime, datetime]] = []
-    cursor = anchor
-    if plan.snapshot is not None:
-        bounds.append((cursor, _later(cursor, plan.snapshot)))
-        cursor = bounds[-1][1]
-    while cursor <= last:
-        bounds.append((cursor, _later(cursor, plan.window)))
-        cursor = bounds[-1][1]
+    # After the snapshot, a window starts at each rest + k * window up to the last record.
+    rest = anchor if plan.snapshot is None else _later(anchor, plan.snapshot)
+    count = (plan.snapshot is not None) + ((last - rest) // plan.window + 1 if rest <= last else 0)
+    if count > MAX_BATCHES:
+        raise ConfigError(
+            f"batch: windows of {plan.window} cut {first.isoformat()} to {last.isoformat()} "
+            f"into {count} batches, more than the {MAX_BATCHES} a run allows"
+        )
 
     batches = []
-    i = 0
-    for index, (start, end) in enumerate(bounds):
-        members = []
-        while i < len(records) and records[i].timestamp < end:
-            members.append(records[i])
-            i += 1
-        batches.append(Batch(index, start, end, tuple(members)))
+    start, span, lo = anchor, plan.snapshot or plan.window, 0
+    while lo < len(records):
+        end = _later(start, span)
+        hi = bisect_left(times, end, lo)
+        batches.append(Batch(len(batches), start, end, tuple(records[lo:hi])))
+        start, span, lo = end, plan.window, hi
     return batches

@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from logevo.records import Level, LogRecord
+from logevo.records import Batch, Level, LogRecord
 
 T0 = datetime(2017, 5, 16, tzinfo=timezone.utc)
 
@@ -116,6 +116,40 @@ def edit_distance_reference(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+# --- the batch planner as two loops: window bounds first, then a record scan --
+
+
+def plan_batches_reference(records, plan):
+    """Consecutive windows from midnight UTC of the first record's day, each
+    filled by a scan of the stably sorted records; a window's end clamps at
+    the last representable time."""
+    end_of_time = datetime.max.replace(tzinfo=timezone.utc)
+
+    def later(t, span):
+        return t + span if span < end_of_time - t else end_of_time
+
+    records = sorted(records, key=lambda r: r.timestamp)
+    first, last = records[0].timestamp, records[-1].timestamp
+    cursor = first.replace(hour=0, minute=0, second=0, microsecond=0)
+    bounds = []
+    if plan.snapshot is not None:
+        bounds.append((cursor, later(cursor, plan.snapshot)))
+        cursor = bounds[-1][1]
+    while cursor <= last:
+        bounds.append((cursor, later(cursor, plan.window)))
+        cursor = bounds[-1][1]
+
+    batches = []
+    i = 0
+    for index, (start, end) in enumerate(bounds):
+        members = []
+        while i < len(records) and records[i].timestamp < end:
+            members.append(records[i])
+            i += 1
+        batches.append(Batch(index, start, end, tuple(members)))
+    return batches
 
 
 # --- jsonschema, the oracle of the schema checker ----------------------------

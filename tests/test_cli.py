@@ -8,9 +8,10 @@ import re
 import subprocess
 import sys
 import time
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -377,6 +378,40 @@ def test_resume_needs_vectors_of_the_snapshot_dimension(tmp_path):
     assert not (tmp_path / "second").exists()
 
 
+def test_resume_dimension_is_checked_before_the_input_is_read(tmp_path):
+    # The input does not exist: the provider loads, and the check follows at once.
+    config = dict(input=str(tmp_path / "missing.jsonl"), format="jsonl", params={"theta": 0.3},
+                  provider={"kind": "hashing", "d": 32}, output_dir=str(tmp_path / "out"))
+    state = ClusterState(RunConfig(**config).resolved_params())
+    state.ingest_point(record("p0"), np.eye(64)[0])  # one active centroid of dimension 64
+    with pytest.raises(ConfigError, match=r"^provider: .* dimension 32, .* centroids 64$"):
+        run(RunConfig(**config), state)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_window_too_short_for_the_stream_is_one_line_and_writes_nothing(tmp_path, capsys):
+    # Six events on each of three mornings; 1.728-second windows would cut them
+    # into 110,417 batches, nearly all empty.
+    texts = ["disk quota exceeded on volume seven", "connection refused by host db"]
+    with (tmp_path / "events.jsonl").open("w") as fh:
+        for day, k in itertools.product(range(1, 4), range(6)):
+            row = {"timestamp": f"2017-05-0{day}T0{k}:00:00Z", "level": "ERROR",
+                   "text": f"{texts[k % 2]} {k}"}
+            fh.write(json.dumps(row) + "\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "input": str(tmp_path / "events.jsonl"), "format": "jsonl", "params": {"theta": 0.3},
+        "batch": {"mode": "FIXED_WINDOW", "window_days": 2e-05},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        "CONFIG: batch: windows of 0:00:01.728000 cut 2017-05-01T00:00:00+00:00 to "
+        "2017-05-03T05:00:00+00:00 into 110417 batches, more than the 100000 a run allows\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_centroid_run(tmp_path, capsys):
     # tok3 and tok10 hash to one slot with opposite signs (d 64, seed 0), so at
     # theta 2 they merge into a cluster whose centroid is exactly zero.
@@ -723,9 +758,17 @@ def test_schema_checker_agrees_with_jsonschema_on_reports(real_report, data):
     _agrees_with_the_oracle("report", _replaced(real_report, path, value))
 
 
+# Most timestamps fall within ten days of T0. About one in twenty falls in year 1 or
+# year 9999: a stream that spans centuries plans one daily batch across them, more
+# than a run allows, and ends in one CONFIG: batch: line.
+_YEAR = timedelta(days=365)
+_FAR = st.integers(0, _YEAR // timedelta(seconds=1)).flatmap(lambda s: st.sampled_from(
+    [datetime(1, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=s),
+     datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc) - timedelta(seconds=s)]))
+_NEAR = st.integers(0, 10 * 86400 - 1).map(lambda s: T0 + timedelta(seconds=s))
+_STAMP = st.integers(0, 19).flatmap(lambda k: _FAR if k == 0 else _NEAR)
 _GOOD_ROW = st.fixed_dictionaries(
-    # Parsed timestamps stay within ten days: an outlier timestamp plans one batch a day up to it.
-    {"timestamp": st.integers(0, 10 * 86400 - 1).map(lambda s: (T0 + timedelta(seconds=s)).isoformat()),
+    {"timestamp": _STAMP.map(datetime.isoformat),
      "level": st.sampled_from(["ERROR", "error", "FATAL"]),
      "text": st.sampled_from(["disk full", "disk quota exceeded", "connection reset by peer",
                               "checksum mismatch in segment 7", ""])},
@@ -746,15 +789,19 @@ _BAD_LINE = (
     | _ANY_JSON.filter(lambda v: not isinstance(v, dict)).map(json.dumps)
     | _TEXT
 )
-# Good rows with up to two bad lines among them.
+# The good rows' times, and the good rows with up to two bad lines among them.
 _LINES = st.tuples(
-    st.lists(_GOOD_ROW.map(json.dumps), min_size=1, max_size=12), st.lists(_BAD_LINE, max_size=2)
-).flatmap(lambda good_bad: st.permutations(good_bad[0] + good_bad[1]))
+    st.lists(_GOOD_ROW, min_size=1, max_size=12), st.lists(_BAD_LINE, max_size=2)
+).flatmap(lambda good_bad: st.tuples(
+    st.just([datetime.fromisoformat(row["timestamp"]) for row in good_bad[0]]),
+    st.permutations([json.dumps(row) for row in good_bad[0]] + good_bad[1]),
+))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lines=_LINES, bad_bytes=st.booleans())
-def test_fuzzed_input_exits_cleanly(tmp_path, capsys, lines, bad_bytes):
+@given(stream=_LINES, bad_bytes=st.booleans())
+def test_fuzzed_input_exits_cleanly(tmp_path, capsys, stream, bad_bytes):
+    stamps, lines = stream
     input_path = tmp_path / "events.jsonl"
     data = "\n".join(lines).encode()
     input_path.write_bytes(data + b"\n\xff\xfe broken\n" if bad_bytes else data)
@@ -767,6 +814,8 @@ def test_fuzzed_input_exits_cleanly(tmp_path, capsys, lines, bad_bytes):
     err = capsys.readouterr().err
     assert code in (0, 1)
     assert err == "" if code == 0 else re.fullmatch(r"[A-Z]+: [^\n]*\n", err), err
+    if len(lines) == len(stamps) and not bad_bytes and max(stamps) - min(stamps) > 1000 * _YEAR:
+        assert err.startswith("CONFIG: batch: "), err
 
 
 class TestSweep:

@@ -61,6 +61,12 @@ class TestWordAveraging:
         with pytest.raises(ProviderError, match=r"vec\.txt:2: non-numeric value.*'1,5'"):
             load_word_vectors(path)
 
+    def test_repeated_word_is_checked_like_any_other(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\na x 1\n")
+        with pytest.raises(ProviderError, match=r"vec\.txt:2: non-numeric value"):
+            load_word_vectors(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProviderError, match="nope.txt"):
             load_word_vectors(tmp_path / "nope.txt")
@@ -208,6 +214,11 @@ class TestPrecomputed:
         provider = load_precomputed(path)
         for rid, vec in table.items():
             np.testing.assert_allclose(provider.table[rid], vec, atol=1e-12)
+
+    def test_repeated_id_keeps_the_first_vector(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "r1", "vector": [1.0, 0.0]}\n{"id": "r1", "vector": [0.0, 1.0]}\n')
+        np.testing.assert_array_equal(load_precomputed(path).table["r1"], [1.0, 0.0])
 
     def test_lookup_is_normalized(self, tmp_path):
         path = tmp_path / "emb.jsonl"

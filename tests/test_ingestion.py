@@ -3,13 +3,14 @@
 import json
 import re
 from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logevo import records as records_module
 from logevo.cli import main
-from logevo.errors import EmptyStream, ParseError
+from logevo.errors import ConfigError, EmptyStream, ParseError
 from logevo.formats import HDFS_2, LINUX, SIMPLE
 from logevo.records import (
     _first_line,
@@ -26,7 +27,7 @@ from logevo.records import (
     scrub,
 )
 
-from helpers import T0, record
+from helpers import T0, plan_batches_reference, record
 
 
 class TestParse:
@@ -415,6 +416,23 @@ class TestBatching:
         assert [b.records for b in batches] == [tuple(records)]
         assert batches[0].end == datetime.max.replace(tzinfo=timezone.utc)
 
+    @pytest.mark.parametrize(
+        "plan, count",
+        [(BatchPlan.fixed(timedelta(days=1)), 5),
+         (BatchPlan.snapshot_plus(timedelta(days=2), timedelta(days=1)), 4)],
+        ids=["window", "snapshot"],
+    )
+    def test_a_plan_of_more_batches_than_the_cap_is_refused(self, monkeypatch, plan, count):
+        records = self._days([0, 4])
+        monkeypatch.setattr(records_module, "MAX_BATCHES", count)
+        assert len(plan_batches(records, plan)) == count
+        monkeypatch.setattr(records_module, "MAX_BATCHES", count - 1)
+        with pytest.raises(ConfigError, match=(
+            r"^batch: windows of 1 day, 0:00:00 cut 2017-05-16T03:00:00\+00:00 to 2017-05-20T"
+            rf"03:00:00\+00:00 into {count} batches, more than the {count - 1} a run allows$"
+        )):
+            plan_batches(records, plan)
+
     def test_nonpositive_durations_rejected(self):
         with pytest.raises(ValueError):
             BatchPlan.fixed(timedelta(0))
@@ -426,6 +444,41 @@ class TestBatching:
         assert BatchPlan.fixed(day) == BatchPlan(day)
         assert BatchPlan.snapshot_plus(month, day) == BatchPlan(day, month)
         assert BatchPlan(day).snapshot is None
+
+
+_SPAN = st.integers(1, 40 * 86400).map(lambda s: timedelta(seconds=s))
+_LAST_SECOND = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_pass_planner_matches_the_two_loop_reference(data):
+    window = data.draw(_SPAN, label="window")
+    snapshot = data.draw(st.none() | _SPAN, label="snapshot")
+    plan = BatchPlan(window, snapshot)
+    # Streams in May 2017, and streams in the calendar's last month, whose windows clamp.
+    month = data.draw(st.sampled_from([T0, datetime(9999, 12, 1, tzinfo=timezone.utc)]))
+    day = month + timedelta(days=data.draw(st.integers(0, 30)))
+    first_end = snapshot or window
+    horizon = min(_LAST_SECOND - day, first_end + 40 * window) // timedelta(seconds=1)
+    ends = [(first_end + k * window) // timedelta(seconds=1) for k in range(41)]
+    offsets = data.draw(st.lists(
+        st.integers(0, horizon) | st.sampled_from([e for e in ends if e <= horizon] or [0]),
+        max_size=30,
+    ), label="offsets")
+    # A first record on the day itself anchors the windows there.
+    first = data.draw(st.integers(0, min(horizon, 86399)), label="first")
+    offsets.insert(data.draw(st.integers(0, len(offsets))), first)
+    stream = [record(f"r{i}", ts=day + timedelta(seconds=o)) for i, o in enumerate(offsets)]
+
+    def cut(planner):
+        return [(b.index, b.start, b.end, [r.id for r in b.records]) for b in planner(stream, plan)]
+
+    expected = cut(plan_batches_reference)
+    assert cut(plan_batches) == expected
+    with patch.object(records_module, "MAX_BATCHES", len(expected) - 1):
+        with pytest.raises(ConfigError, match=rf"^batch: .* into {len(expected)} batches"):
+            plan_batches(stream, plan)
 
 
 class TestJsonl:
