@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoActiveClusters
 from .metrics import BatchReport
 from .records import Batch, LogRecord
 from .representatives import Representative, representative_by_centroid
@@ -81,7 +80,6 @@ class Cluster:
 
 @dataclass(frozen=True)
 class AssignmentOutcome:
-    record_id: str
     cluster_id: int
     was_new: bool
     distance: float
@@ -152,37 +150,31 @@ class ClusterState:
         for row, c in enumerate(self._rows):
             c._row = row
 
-    def nearest_cluster(self, p: np.ndarray) -> tuple[int, float]:
-        """Nearest active cluster by cosine distance; oldest id wins ties."""
+    def nearest_cluster(self, p: np.ndarray) -> tuple[int | None, float]:
+        """Nearest active cluster by cosine distance; oldest id wins ties.
+        (None, inf) when no active cluster has a defined distance."""
         n = len(self._rows)
         if n == 0:
-            raise NoActiveClusters("no active clusters")
+            return None, np.inf
         p_norm = np.linalg.norm(p)
         with np.errstate(invalid="ignore"):  # a zero centroid gives 0/0
             dist = 1.0 - (self._cen[:n] @ p) / (self._norm[:n] * p_norm)
-        best = np.fmin.reduce(dist)  # skips the NaN
-        if np.isnan(best):
-            raise NoActiveClusters("no active cluster has a defined distance")
+        best = np.fmin.reduce(dist)  # skips the NaN; NaN when every row is
         # The matrix product may round equal rows differently, so the rows
         # within a hair of the minimum are scored again one by one, in id
         # order, exactly as a plain loop over the clusters would.
-        near = np.flatnonzero(dist <= best + _TIE_SLACK)
-        best_row, best_dist = -1, np.inf
-        for row in near.tolist():
+        best_id, best_dist = None, np.inf
+        for row in np.flatnonzero(dist <= best + _TIE_SLACK).tolist():
             d = 1.0 - float(np.dot(self._cen[row], p) / (self._norm[row] * p_norm))
             if d < best_dist:
-                best_row, best_dist = row, d
-        return self._rows[best_row].id, best_dist
+                best_id, best_dist = self._rows[row].id, d
+        return best_id, best_dist
 
     # -- assignment ----------------------------------------------------------
 
     def ingest_point(self, record: LogRecord, p: np.ndarray) -> AssignmentOutcome:
         params = self.params
-        try:
-            cid, dist = self.nearest_cluster(p)
-        except NoActiveClusters:
-            cid, dist = None, np.inf
-
+        cid, dist = self.nearest_cluster(p)
         if cid is not None and dist <= params.theta:
             c = self.clusters[cid]
             row = self._cen[c._row]
@@ -196,13 +188,13 @@ class ClusterState:
             c.len += 1
             c.last_updated = record.timestamp
             c.reservoir.append((record.id, record.scrubbed_text, p))
-            return AssignmentOutcome(record.id, cid, False, dist)
+            return AssignmentOutcome(cid, False, dist)
 
         c = Cluster(self.next_id, 1, record.timestamp, record.timestamp, params.reservoir_cap)
         c.reservoir.append((record.id, record.scrubbed_text, p))
         self.clusters.append(c)
         self._attach(c, p)
-        return AssignmentOutcome(record.id, c.id, True, dist)
+        return AssignmentOutcome(c.id, True, dist)
 
     def expire_stale(self, now: datetime) -> list[int]:
         """Retire active clusters idle longer than the staleness window."""

@@ -41,10 +41,6 @@ class MissingEmbedding(ProviderError):
         self.record_id = record_id
 
 
-class NoActiveClusters(LogevoError):
-    cli_class = "METRIC"
-
-
 class EmptyReservoir(LogevoError):
     """A cluster has no reservoir members to pick a representative from."""
 

@@ -13,6 +13,8 @@ import numpy as np
 from .errors import DegenerateInput
 
 VAR_FLOOR = 1e-6
+MAX_ITERS = 100  # EM iterations per batch at most
+TOL = 1e-4  # EM stops once the log-likelihood gains less than this
 
 
 @dataclass
@@ -21,8 +23,6 @@ class GmmParams:
     means: np.ndarray  # (K, d)
     variances: np.ndarray  # (K, d), diagonal, floored
     mixing: np.ndarray  # (K,), sums to 1
-    max_iters: int = 100
-    tol: float = 1e-4
     log_likelihoods: list[float] = field(default_factory=list)  # per EM iteration
 
 
@@ -80,22 +80,20 @@ def fresh_params(points: np.ndarray, K: int, seed: int = 0) -> GmmParams:
 
 
 def fit_batch(points: list[np.ndarray] | np.ndarray, init: GmmParams) -> GmmParams:
-    """EM from ``init`` until the log-likelihood gain drops below ``init.tol``
-    or ``init.max_iters`` iterations run out."""
+    """EM from ``init`` until the log-likelihood gain drops below ``TOL``
+    or ``MAX_ITERS`` iterations run out."""
     X = np.asarray(points, dtype=float)
     params = GmmParams(
         K=init.K,
         means=init.means.copy(),
         variances=init.variances.copy(),
         mixing=init.mixing.copy(),
-        max_iters=init.max_iters,
-        tol=init.tol,
     )
     prev_ll = -np.inf
-    for _ in range(params.max_iters):
+    for _ in range(MAX_ITERS):
         log_r, ll = _log_resp(X, params)
         params.log_likelihoods.append(ll)
-        if ll - prev_ll < params.tol and np.isfinite(prev_ll):
+        if ll - prev_ll < TOL and np.isfinite(prev_ll):
             break
         prev_ll = ll
         resp = np.exp(log_r)  # (n, K)

@@ -297,11 +297,13 @@ def prepare(config: RunConfig, state: ClusterState | None = None) -> Prepared:
 
 def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
     K, seed = config.gmm.get("K", 11), config.gmm.get("seed", 0)
-    params = None
+    params, reps = None, {}
     reports = []
     for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
         if not len(vecs):
-            reports.append(BatchReport(batch.index, [], 0 if params is None else K, {}))
+            # No fit runs, so the components and their representatives stay; none has a member.
+            reports.append(BatchReport(batch.index, [], 0 if params is None else K, reps,
+                                       sizes=dict.fromkeys(reps, 0)))
             continue
         if params is None:
             params = gmm.fit_batch(vecs, gmm.fresh_params(vecs, K, seed))

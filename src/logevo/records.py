@@ -73,13 +73,11 @@ class LogRecord:
     level: Level
     raw_text: str
     scrubbed_text: str
-    source: str | None = None
 
     @classmethod
-    def build(cls, id: str, timestamp: datetime, level: Level, raw_text: str,
-              source: str | None = None) -> "LogRecord":
+    def build(cls, id: str, timestamp: datetime, level: Level, raw_text: str) -> "LogRecord":
         """The one place a record's time is put in UTC; a naive time is read as UTC."""
-        return cls(id, _utc(timestamp), level, raw_text, scrub(raw_text), source)
+        return cls(id, _utc(timestamp), level, raw_text, scrub(raw_text))
 
 
 def _utc(t: datetime) -> datetime:
@@ -106,9 +104,10 @@ class LineFormat:
     """Regex-based line descriptor.
 
     ``pattern`` must compile and define named groups ``timestamp`` and ``text``;
-    ``level`` and ``source`` are optional. ``timestamp_format`` is a strptime
-    pattern that compiles. Formats without a year component (syslog-style) set
-    ``default_year``, 1 to 9999, and each time is read in that year.
+    ``level`` is optional and any other group is ignored. ``timestamp_format``
+    is a strptime pattern that compiles. Formats without a year component
+    (syslog-style) set ``default_year``, 1 to 9999, and each time is read in
+    that year.
     """
 
     name: str
@@ -143,18 +142,14 @@ class LineFormat:
         object.__setattr__(self, "_compiled", compiled)
         object.__setattr__(self, "_iso", self.timestamp_format == _ISO_FORMAT)
 
-    @property
-    def regex(self) -> re.Pattern:
-        return self._compiled
 
-
-def _first_line(line: str, fmt: LineFormat) -> tuple[datetime, Level, str, str | None] | None:
-    """Time, level, text and source of a line that starts a record; else None.
+def _first_line(line: str, fmt: LineFormat) -> tuple[datetime, Level, str] | None:
+    """Time, level and text of a line that starts a record; else None.
 
     A line whose ``timestamp`` group took no part in the match starts no
     record; a ``text`` group that took none reads as "".
     """
-    m = fmt.regex.match(line)
+    m = fmt._compiled.match(line)
     if m is None:
         return None
     groups = m.groupdict()
@@ -172,21 +167,13 @@ def _first_line(line: str, fmt: LineFormat) -> tuple[datetime, Level, str, str |
             _utc(ts)
     except (ValueError, ParseError):
         return None
-    return ts, map_level(groups.get("level")), groups["text"] or "", groups.get("source")
-
-
-def parse_loghub_line(line: str, fmt: LineFormat, record_id: str = "0") -> LogRecord:
-    """Parse one physical log line; raises ParseError unless it starts a record."""
-    first = _first_line(line.rstrip("\n"), fmt)
-    if first is None:
-        raise ParseError(f"line does not start a record in format {fmt.name!r}: {line[:80]!r}")
-    return _record(record_id, first, [])
+    return ts, map_level(groups.get("level")), groups["text"] or ""
 
 
 def _record(record_id: str, first: tuple, more: list[str]) -> LogRecord:
     """The record of a first line's fields and its continuation lines."""
-    ts, level, text, source = first
-    return LogRecord.build(record_id, ts, level, "\n".join([text, *more]), source)
+    ts, level, text = first
+    return LogRecord.build(record_id, ts, level, "\n".join([text, *more]))
 
 
 def read_loghub_file(path: str | Path, fmt: LineFormat) -> tuple[list[LogRecord], int]:
@@ -220,7 +207,8 @@ def read_loghub_file(path: str | Path, fmt: LineFormat) -> tuple[list[LogRecord]
 
 
 def read_jsonl(path: str | Path) -> list[LogRecord]:
-    """Read records from JSONL with fields {id?, timestamp, level, text, source?}.
+    """Read records from JSONL with fields {timestamp, level, text, id?}; any
+    other field is ignored.
 
     Bytes that are not UTF-8 read as U+FFFD, as in ``read_loghub_file``.
     """
@@ -237,7 +225,7 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
             if not isinstance(obj, dict) or not {"timestamp", "level", "text"} <= obj.keys():
                 raise ParseError(f"{path}:{lineno}: not an object with timestamp, level and text")
             rid, ts_raw = str(obj.get("id", f"{path.name}:{lineno}")), obj["timestamp"]
-            level, text, source = map_level(str(obj["level"])), str(obj["text"]), obj.get("source")
+            level, text = map_level(str(obj["level"])), str(obj["text"])
             try:
                 if isinstance(ts_raw, bool):  # an int to Python, but not a time
                     raise ValueError(f"{json.dumps(ts_raw)} is not a time")
@@ -245,7 +233,7 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
                     ts = datetime.fromtimestamp(ts_raw, tz=timezone.utc)
                 else:
                     ts = datetime.fromisoformat(str(ts_raw).replace("Z", "+00:00"))
-                records.append(LogRecord.build(rid, ts, level, text, source))
+                records.append(LogRecord.build(rid, ts, level, text))
             except (ValueError, OverflowError, OSError, ParseError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad timestamp: {exc}") from exc
     return records

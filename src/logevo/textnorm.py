@@ -59,9 +59,6 @@ class TokenSeq:
     tokens: tuple[str, ...]
     source_id: str
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 def _kept(raw: str, stopwords: frozenset[str]) -> str | None:
     """The token that ``raw`` becomes, or None when it is dropped."""

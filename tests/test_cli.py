@@ -1,6 +1,7 @@
 """CLI and pipeline surface."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -135,6 +136,16 @@ def test_empty_input_is_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("PARSE:")
     assert err.count("\n") == 1  # single-line diagnostic
+
+
+def test_missing_input_is_one_io_line(tmp_path, capsys):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"input": str(tmp_path / "nope.log"),
+                                       "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IO: ") and "nope.log" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_vectors_file_is_reported_before_the_input_is_read(tmp_path, capsys):
@@ -448,6 +459,39 @@ def test_gmm_len_is_the_component_size_in_the_batch(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "keep, shift, batch",
+    [(lambda day: day % 2 == 0, timedelta(0), "1d"),
+     (lambda day: True, timedelta(hours=7), {"mode": "FIXED_WINDOW", "window_days": 0.25})],
+    ids=["even_days", "first_record_at_7h"],
+)
+def test_gmm_empty_batch_keeps_the_components_with_no_member(tmp_path, capsys, keep, shift, batch):
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, [
+        dataclasses.replace(r, timestamp=r.timestamp + shift)
+        for r in make_evolution_jsonl(days=10) if keep((r.timestamp - T0).days)
+    ])
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"input": str(input_path), "format": "jsonl", "batch": batch,
+                                       "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(config_path), "--algo", "gmm"]) == 0
+    assert capsys.readouterr().err == ""
+    batches = json.loads((tmp_path / "out" / "report.json").read_text())["batches"]
+    lines = clusters_lines(tmp_path / "out")
+    rows = [[row for row in lines if row["batch_index"] == b["index"]] for b in batches]
+    fitted = [b["n_records"] > 0 for b in batches]
+    assert not all(fitted)
+    for i, (b, here) in enumerate(zip(batches, rows)):
+        if fitted[i]:
+            assert sum(row["len"] for row in here) == b["n_records"]
+        elif any(fitted[:i]):  # the last fit's representatives, each with no member
+            assert b["nr_clust"] == 11
+            assert here == [{**row, "batch_index": i, "len": 0} for row in rows[i - 1]]
+        else:  # before the first fit
+            assert (b["nr_clust"], here) == (0, [])
+    assert fitted[0] == (shift == timedelta(0))  # 6-hour windows start at midnight, not 07:00
+
+
+@pytest.mark.parametrize(
     "silhouettes, cli_class",
     [
         # a constant 1.5 gives S = 1.25, which the score rejects before any write
@@ -531,6 +575,9 @@ BAD_CONFIGS = [
     ({"line_format": _syslog_format("%Q %H", None)}, [], "line_format: timestamp_format '%Q %H'"),
     # a deque holds at most sys.maxsize members
     ({"params": {"reservoir_cap": 10**20}}, [], "params: gamma must be positive and reservoir_cap"),
+    ({"gmm": {"K": 0}}, [], "gmm.K: 0 is less than the minimum of 1"),
+    ({"params": {"alpha": 0}}, [], "params: alpha must be in (0, 1]"),
+    ({"params": {"staleness_days": 0}}, [], "params: staleness must be positive"),
 ]
 
 
@@ -854,6 +901,21 @@ class TestSweep:
         )
         assert "sweep: 2 cells" in capsys.readouterr().out
 
+    def test_a_failing_cell_is_a_failed_row(self, tmp_path, capsys):
+        # At theta 1.5 the three families share one cluster, so no batch has a silhouette.
+        input_path = tmp_path / "events.jsonl"
+        write_jsonl(input_path, make_evolution_jsonl(days=10))
+        config_path, grid_path = tmp_path / "c.json", tmp_path / "grid.json"
+        config_path.write_text(json.dumps({"input": str(input_path), "format": "jsonl",
+                                           "output_dir": str(tmp_path / "out")}))
+        grid_path.write_text(json.dumps({"theta": [0.3, 1.5]}))
+        assert main(["sweep", "--config", str(config_path), "--grid", str(grid_path)]) == 0
+        assert "sweep: 2 cells, 1 ok" in capsys.readouterr().out
+        with (tmp_path / "out" / "sweep.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["theta"], r["status"]) for r in rows] == [("0.3", "OK"), ("1.5", "FAILED:METRIC")]
+        assert [rows[1][k] for k in ("S", "R", "C", "lce")] == ["", "", "", ""]
+
     @pytest.mark.parametrize(
         "grid, flags, detail",
         [
@@ -866,6 +928,7 @@ class TestSweep:
             ({"gamma": [1.5], "theta": [True]}, [], "CONFIG: params."),
             ({"gamma": [10, 1.5]}, [], "params.gamma: 1.5 is not of type 'integer'"),
             ({"theta": [0.3, True]}, [], "params.theta: True is not of type 'number'"),
+            ({"theta": []}, [], "each sweep grid entry must be a nonempty list"),
         ],
     )
     def test_bad_sweep_is_config_error_before_input_is_read(

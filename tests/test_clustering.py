@@ -8,7 +8,6 @@ import pytest
 
 from logevo import clustering
 from logevo.clustering import ClusterState, HyperParams
-from logevo.errors import NoActiveClusters
 from logevo.records import Batch, BatchPlan, plan_batches
 from logevo.representatives import representative_by_centroid, representative_by_levenshtein
 
@@ -59,8 +58,13 @@ class TestNearest:
         assert dist == pytest.approx(0.2929, abs=1e-4)
 
     def test_empty_state(self):
-        with pytest.raises(NoActiveClusters):
-            ClusterState().nearest_cluster(np.array([1.0, 0.0]))
+        assert ClusterState().nearest_cluster(np.array([1.0, 0.0])) == (None, np.inf)
+
+    @pytest.mark.parametrize("cid", [-1, 2])
+    def test_get_outside_the_ids_is_a_key_error(self, cid):
+        state = state_with_centroids((1, 0), (0, 1), theta=0.0)
+        with pytest.raises(KeyError):
+            state.get(cid)
 
     def test_inactive_clusters_skipped(self):
         state = edited(state_with_centroids((1, 0), (0, 1), theta=0.0), retired=[0])
@@ -100,6 +104,16 @@ class TestNearestMatchesLoop:
             want_id, want_dist = loop_nearest(state, p)
             assert cid == want_id
             assert dist == want_dist
+
+    @pytest.mark.parametrize("centroids", [(), ((1, 0), (-1, 0))], ids=["empty", "zero_centroid"])
+    def test_no_defined_distance(self, centroids):
+        # At theta 2 an antipodal pair merges into one cluster whose centroid is zero.
+        state = state_with_centroids(*centroids, theta=2.0)
+        assert all(not c.cen.any() for c in state.active_clusters())
+        p = np.array([0.6, 0.8])
+        with np.errstate(invalid="ignore"):  # the loop's 0/0
+            expected = loop_nearest(state, p)
+        assert state.nearest_cluster(p) == expected == (None, np.inf)
 
     def test_identical_centroids_oldest_wins(self):
         rng = np.random.default_rng(31)
@@ -415,6 +429,14 @@ class TestPersistence:
         assert "\n" not in compact.read_text()
         a, b = ClusterState.load(compact), ClusterState.load(indented)
         assert a.to_snapshot() == b.to_snapshot() == state.to_snapshot()
+
+    @pytest.mark.parametrize("cid", [2, 4])
+    def test_rejects_ids_out_of_step(self, cid):
+        state = state_with_centroids((1, 0), (0, 1), (-1, 0), (0, -1), theta=0.0)
+        doc = state.to_snapshot()
+        doc["clusters"][3]["id"] = cid
+        with pytest.raises(ValueError, match=f"ids are not 0, 1, 2, ...: found {cid}$"):
+            ClusterState.from_snapshot(doc)
 
     @pytest.mark.parametrize("shift", [-1, 1, 5])
     def test_rejects_next_id_out_of_step(self, shift):

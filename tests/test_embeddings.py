@@ -239,6 +239,7 @@ class TestPrecomputed:
             ('{"id": "r1", "vector": 1.0}', "the vector is not a list of numbers"),
             ('{"id": "r1", "vector": [[1.0], [0.0]]}', "the vector is not a list of numbers"),
             ('{"id": "r1", "vector": [1e308, 1e308]}', "the vector is not a list of numbers"),
+            ('{"id": "r1", "vector": [1.0, 0.0, 0.0]}', "vector dimension 3 != 2"),
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line, detail):
@@ -246,6 +247,21 @@ class TestPrecomputed:
         path.write_text('{"id": "r0", "vector": [1.0, 0.0]}\n' + line + "\n")
         with pytest.raises(ProviderError, match=f"^{path}:2: {detail}"):
             load_precomputed(path)
+
+
+@pytest.mark.parametrize(
+    "load, text, detail",
+    [(load_word_vectors, "\n  \n", "no word vectors found"),
+     (load_precomputed, "\n  \n", "no vectors found"),
+     (load_precomputed, None, "cannot read precomputed vectors")],
+    ids=["word_vectors_blank", "precomputed_blank", "precomputed_missing"],
+)
+def test_a_file_without_vectors_is_a_provider_error(tmp_path, load, text, detail):
+    path = tmp_path / "vectors"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ProviderError, match=detail):
+        load(path)
 
 
 def _providers(tmp_path):

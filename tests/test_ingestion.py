@@ -20,7 +20,6 @@ from logevo.records import (
     Level,
     LineFormat,
     map_level,
-    parse_loghub_line,
     plan_batches,
     read_jsonl,
     read_loghub_file,
@@ -31,17 +30,17 @@ from helpers import T0, plan_batches_reference, record
 
 
 class TestParse:
-    def test_simple_line(self):
-        rec = parse_loghub_line(
-            "2017-05-16 00:00:04 ERROR Connection timeout to host db-7", SIMPLE
+    def test_simple_line(self, tmp_path):
+        [rec], skipped = TestLoghubFile.read(
+            tmp_path, "2017-05-16 00:00:04 ERROR Connection timeout to host db-7\n"
         )
+        assert skipped == 0
         assert rec.level is Level.ERROR
         assert rec.raw_text == "Connection timeout to host db-7"
         assert rec.timestamp == datetime(2017, 5, 16, 0, 0, 4, tzinfo=timezone.utc)
 
-    def test_garbage_line_raises(self):
-        with pytest.raises(ParseError):
-            parse_loghub_line("garbage line", SIMPLE)
+    def test_garbage_line_is_skipped(self, tmp_path):
+        assert TestLoghubFile.read(tmp_path, "garbage line\n") == ([], 1)
 
     @pytest.mark.parametrize(
         "pattern, detail",
@@ -51,7 +50,7 @@ class TestParse:
         with pytest.raises(ValueError, match=detail):
             LineFormat(name="custom", pattern=pattern, timestamp_format="%Y")
 
-    def test_linux_sample_hand_parsed(self):
+    def test_linux_sample_hand_parsed(self, tmp_path):
         # Hand-constructed 10-line syslog sample; expectations derived manually.
         lines = [
             ("Jun 14 15:16:01 combo sshd(pam_unix)[19939]: authentication failure", 1),
@@ -65,15 +64,11 @@ class TestParse:
             ("Jun 15 12:12:34 combo sshd[2546]: Accepted password for root", 34),
             ("Jun 16 04:06:19 combo su(pam_unix)[1234]: session opened for user cyrus", 19),
         ]
-        records = [
-            parse_loghub_line(line, LINUX, record_id=str(i))
-            for i, (line, _) in enumerate(lines)
-        ]
+        records = [TestLoghubFile.read(tmp_path, line + "\n", LINUX)[0][0] for line, _ in lines]
         timestamps = [r.timestamp for r in records]
         assert timestamps == sorted(timestamps)
         for rec, (_, second) in zip(records, lines):
             assert rec.timestamp.second == second
-            assert rec.source == "combo"
             assert rec.level is Level.OTHER
         assert records[0].raw_text == "sshd(pam_unix)[19939]: authentication failure"
         assert records[4].timestamp == datetime(2017, 6, 15, 2, 4, 59, tzinfo=timezone.utc)
@@ -151,7 +146,8 @@ PAST_THE_CALENDAR = "2017-05-16T00:00:00+0000 ERROR disk full\n9999-12-31T23:00:
 
 
 class TestLoghubFile:
-    def read(self, tmp_path, text, fmt=SIMPLE):
+    @staticmethod
+    def read(tmp_path, text, fmt=SIMPLE):
         path = tmp_path / "raw.log"
         path.write_text(text)
         return read_loghub_file(path, fmt)
@@ -186,8 +182,7 @@ class TestLoghubFile:
             tmp_path, "2017-05-16 00:00:04 ERROR disk full\n2017-13-45 00:00:00 ERROR bad\n"
         )
         assert [r.raw_text for r in records] == ["disk full\n2017-13-45 00:00:00 ERROR bad"]
-        with pytest.raises(ParseError):
-            parse_loghub_line("2017-13-45 00:00:00 ERROR bad", SIMPLE)
+        assert self.read(tmp_path, "2017-13-45 00:00:00 ERROR bad\n") == ([], 1)
 
     @pytest.mark.parametrize("year, starts_a_record", [(2020, True), (2017, False)])
     def test_a_year_less_time_is_read_in_the_default_year(self, tmp_path, year, starts_a_record):
@@ -210,8 +205,8 @@ class TestLoghubFile:
             "disk full\n9999-12-31T23:00:00-0500 ERROR disk full"
         ]
         assert records[0].timestamp == datetime(2017, 5, 16, tzinfo=timezone.utc)
-        with pytest.raises(ParseError):
-            parse_loghub_line("9999-12-31T23:00:00-0500 ERROR disk full", ISO_OFFSET)
+        alone = "9999-12-31T23:00:00-0500 ERROR disk full\n"
+        assert self.read(tmp_path, alone, ISO_OFFSET) == ([], 1)
 
     @pytest.mark.parametrize(
         "more, code, err",
@@ -490,8 +485,12 @@ class TestJsonl:
         return path, lambda: read_jsonl(path)
 
     def test_good_line(self, tmp_path):
-        _, read = self.read_with_second_line(tmp_path, json.dumps(dict(self.GOOD, timestamp=0)))
+        # A blank line is skipped but counted; a field beyond the four is ignored.
+        _, read = self.read_with_second_line(
+            tmp_path, " \n" + json.dumps(dict(self.GOOD, timestamp=0, source="kernel"))
+        )
         first, second = read()
+        assert (first.id, second.id) == ("events.jsonl:1", "events.jsonl:3")
         assert first.timestamp == datetime(2017, 5, 16, 0, 0, 4, tzinfo=timezone.utc)
         assert second.timestamp == datetime(1970, 1, 1, tzinfo=timezone.utc)
 

@@ -149,6 +149,12 @@ class TestLevenshteinMedoid:
         assert rep.record_id == "m0"
         assert rep.score == 0.0
 
+    def test_empty_reservoir(self):
+        c = cluster_with([(1, 0)])
+        c.reservoir.clear()
+        with pytest.raises(EmptyReservoir):
+            representative_by_levenshtein(c)
+
     def test_identical_texts_first_member(self):
         c = cluster_with([(1, 0)] * 4, texts=["same text"] * 4)
         assert representative_by_levenshtein(c).record_id == "m0"
