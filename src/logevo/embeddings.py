@@ -49,64 +49,99 @@ class _Provider:
 
 
 class WordAveragingProvider(_Provider):
-    """Averages per-token word vectors; out-of-vocabulary tokens are skipped."""
+    """Averages per-token word vectors; out-of-vocabulary tokens are skipped.
 
-    def __init__(self, vocab: dict[str, np.ndarray], dim: int):
-        self.vocab = vocab
+    ``lines`` maps each word to the number and value text of its line in
+    ``path``. A word's values are parsed and checked on its first lookup, and
+    the vector is kept, so a run converts only the words its records use.
+    """
+
+    def __init__(self, path: Path, lines: dict[str, tuple[int, str]], dim: int):
+        self.path = path
+        self.lines = lines
         self.dim = dim
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def lookup(self, word: str) -> np.ndarray | None:
+        """The vector of ``word``, or None for a word not in the file."""
+        vec = self._vectors.get(word)
+        if vec is not None or word not in self.lines:
+            return vec
+        lineno, text = self.lines[word]
+        values = text.split()
+        if len(values) != self.dim:
+            raise ProviderError(
+                f"{self.path}:{lineno}: expected {self.dim} floats, got {len(values)}"
+            )
+        try:
+            vec = np.array(values, dtype=float)
+        except ValueError as exc:
+            raise ProviderError(f"{self.path}:{lineno}: non-numeric value: {exc}") from exc
+        # A finite squared norm bounds the squared norm of any mean of vectors too.
+        with np.errstate(over="ignore"):  # an overflowing squared norm is inf
+            finite = np.isfinite(vec @ vec)
+        if not finite:
+            raise ProviderError(f"{self.path}:{lineno}: the vector of {word!r} is not finite")
+        self._vectors[word] = vec
+        return vec
 
     def _rows(self, seqs: Sequence[TokenSeq]) -> np.ndarray:
+        # One lookup per distinct token of the batch, in order of first use, so
+        # that of two bad lines the one of the word used first is reported.
+        found = {}
+        for t in dict.fromkeys(t for seq in seqs for t in seq.tokens):
+            vec = self.lookup(t)
+            if vec is not None:
+                found[t] = vec
         rows = np.zeros((len(seqs), self.dim))
         for row, seq in zip(rows, seqs):
-            hits = [self.vocab[t] for t in seq.tokens if t in self.vocab]
+            hits = [found[t] for t in seq.tokens if t in found]
             if hits:
                 row[:] = np.mean(hits, axis=0)
         return rows
 
 
 def load_word_vectors(path: str | Path) -> WordAveragingProvider:
-    """Load a word2vec-text-format file (optional "<count> <dim>" header)."""
+    """Index a word2vec-text-format file (optional "<count> <dim>" header).
+
+    One pass over the file keeps each word's line number and value text; a
+    repeated word keeps its first line, unchecked beyond that. Here only the
+    file, the header and the first word's dimension are checked: the provider
+    checks a word's line when the word is first used.
+    """
     path = Path(path)
+    lines: dict[str, tuple[int, str]] = {}
+    dim: int | None = None
     try:
-        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+        with path.open(encoding="utf-8", errors="replace", newline="") as fh:
+            # Lines end where str.splitlines ends them: at \f, \x85 or \u2028 too.
+            text_lines = (line for raw in fh for line in raw.splitlines())
+            for lineno, line in enumerate(text_lines, start=1):
+                if lineno == 1:
+                    head = line.split()
+                    # int() reads each such part; "--3" or "²" (a digit, not a decimal) is a word.
+                    if len(head) == 2 and all(p.removeprefix("-").isdecimal() for p in head):
+                        dim = int(head[1])
+                        if dim < 1:
+                            raise ProviderError(
+                                f"{path}:1: the header gives dimension {dim}, not at least 1"
+                            )
+                        continue
+                parts = line.split(None, 1)
+                if not parts:
+                    continue
+                word, values = parts[0], parts[1] if len(parts) == 2 else ""
+                if dim is None:
+                    dim = len(values.split())
+                    if not dim:
+                        raise ProviderError(f"{path}:{lineno}: the word {word!r} has no vector")
+                if word not in lines:
+                    lines[word] = (lineno, values)
     except OSError as exc:
         raise ProviderError(f"cannot read word vectors from {path}: {exc}") from exc
-
-    vocab: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
-            dim = int(head[1])
-            start = 1
-            if dim < 1:
-                raise ProviderError(f"{path}:1: the header gives dimension {dim}, not at least 1")
-    with np.errstate(over="ignore"):  # an overflowing squared norm is inf, rejected below
-        for lineno, line in enumerate(lines[start:], start=start + 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if not dim:
-                    raise ProviderError(f"{path}:{lineno}: the word {token!r} has no vector")
-            if len(values) != dim:
-                raise ProviderError(
-                    f"{path}:{lineno}: expected {dim} floats, got {len(values)}"
-                )
-            try:
-                vec = np.array(values, dtype=float)
-            except ValueError as exc:
-                raise ProviderError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
-            # A finite squared norm bounds the squared norm of any mean of vectors too.
-            if not np.isfinite(vec @ vec):
-                raise ProviderError(f"{path}:{lineno}: the vector of {token!r} is not finite")
-            vocab.setdefault(token, vec)  # a repeated word, checked all the same, keeps its first
-    if dim is None or not vocab:
+    if not lines:
         raise ProviderError(f"{path}: no word vectors found")
-    return WordAveragingProvider(vocab, dim)
+    return WordAveragingProvider(path, lines, dim)
 
 
 class HashingProvider(_Provider):

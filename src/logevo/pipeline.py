@@ -302,8 +302,9 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
     for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
         if not len(vecs):
             # No fit runs, so the components and their representatives stay; none has a member.
-            reports.append(BatchReport(batch.index, [], 0 if params is None else K, reps,
-                                       sizes=dict.fromkeys(reps, 0)))
+            reports.append(
+                BatchReport(batch.index, [], len(reps), reps, sizes=dict.fromkeys(reps, 0))
+            )
             continue
         if params is None:
             params = gmm.fit_batch(vecs, gmm.fresh_params(vecs, K, seed))
@@ -313,13 +314,15 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
         members = [[] for _ in range(K)]
         for rec, vec, k in zip(batch.records, vecs, labels):
             members[k].append((rec.id, rec.scrubbed_text, vec))
-        # each mixture component, shaped as the extractor expects a cluster
-        reps = {
+        # Each mixture component, shaped as the extractor expects a cluster; one
+        # with no member keeps its last representative, if it had one.
+        reps = reps | {
             k: representative_by_centroid(SimpleNamespace(id=k, cen=params.means[k], reservoir=m))
             for k, m in enumerate(members) if m
         }
         sizes = {k: len(members[k]) for k in reps}
-        reports.append(BatchReport(batch.index, list(zip(vecs, labels)), K, reps, sizes=sizes))
+        points = list(zip(vecs, labels))
+        reports.append(BatchReport(batch.index, points, len(reps), reps, sizes=sizes))
     return reports
 
 

@@ -7,9 +7,11 @@ import json
 import math
 from datetime import datetime, timedelta, timezone
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
+from logevo.errors import ProviderError
 from logevo.records import Batch, Level, LogRecord
 
 T0 = datetime(2017, 5, 16, tzinfo=timezone.utc)
@@ -150,6 +152,47 @@ def plan_batches_reference(records, plan):
             i += 1
         batches.append(Batch(index, start, end, tuple(members)))
     return batches
+
+
+# --- the word-vectors loader that parses and checks every line up front -------
+
+
+def load_word_vectors_reference(path):
+    """(vocab, dim) of a word2vec-text file, every line parsed and checked as it
+    is read; a repeated word, checked all the same, keeps its first vector."""
+    lines = Path(path).read_text(encoding="utf-8", errors="replace").splitlines()
+    vocab = {}
+    dim = None
+    start = 0
+    if lines:
+        head = lines[0].split()
+        if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
+            dim = int(head[1])
+            start = 1
+            if dim < 1:
+                raise ProviderError(f"{path}:1: the header gives dimension {dim}, not at least 1")
+    with np.errstate(over="ignore"):
+        for lineno, line in enumerate(lines[start:], start=start + 1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if not dim:
+                    raise ProviderError(f"{path}:{lineno}: the word {token!r} has no vector")
+            if len(values) != dim:
+                raise ProviderError(f"{path}:{lineno}: expected {dim} floats, got {len(values)}")
+            try:
+                vec = np.array(values, dtype=float)
+            except ValueError as exc:
+                raise ProviderError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
+            if not np.isfinite(vec @ vec):
+                raise ProviderError(f"{path}:{lineno}: the vector of {token!r} is not finite")
+            vocab.setdefault(token, vec)
+    if dim is None or not vocab:
+        raise ProviderError(f"{path}: no word vectors found")
+    return vocab, dim
 
 
 # --- jsonschema, the oracle of the schema checker ----------------------------

@@ -179,6 +179,35 @@ def test_word_vectors_of_dimension_zero_are_a_provider_error(tmp_path, capsys, v
     assert err.startswith(f"PROVIDER: {tmp_path / 'vec.txt'}:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "vectors, err",
+    [("database 1 0 0\nfilesystem 0 x 0\nscheduler 0 0 1\n",
+      "PROVIDER: {path}:2: non-numeric value: "),
+     ("database 1 0 0\nfilesystem 0 1 0\nunused 0 x 0\nscheduler 0 0 1\n", ""),
+     ("database 1 0 0\nfilesystem 0 1 0\nscheduler 0 0 1\ndatabase 0 x 0\n", "")],
+    ids=["used_word", "unused_word", "later_duplicate"],
+)
+def test_a_bad_vector_line_is_reported_when_its_word_is_used(tmp_path, capsys, vectors, err):
+    # Only a word the records use has its line parsed; the first line of a word is its line.
+    path = tmp_path / "vec.txt"
+    path.write_text(vectors)
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, make_evolution_jsonl(days=2, per_kind=3))
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        "input": str(input_path), "format": "jsonl",
+        "provider": {"kind": "word_vectors", "path": str(path)},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(config_path)]) == (1 if err else 0)
+    out = capsys.readouterr().err
+    if err:
+        assert out.startswith(err.format(path=path)) and out.count("\n") == 1, out
+        assert not (tmp_path / "out").exists()
+    else:
+        assert out == "" and (tmp_path / "out" / "report.json").exists()
+
+
 def test_provider_load_time_counts_as_embedding(tmp_path, monkeypatch):
     input_path = tmp_path / "events.jsonl"
     write_jsonl(input_path, make_evolution_jsonl(days=3, per_kind=2, seed=5))
@@ -481,13 +510,17 @@ def test_gmm_empty_batch_keeps_the_components_with_no_member(tmp_path, capsys, k
     fitted = [b["n_records"] > 0 for b in batches]
     assert not all(fitted)
     for i, (b, here) in enumerate(zip(batches, rows)):
+        assert b["nr_clust"] == len(here)  # each component with a representative
         if fitted[i]:
             assert sum(row["len"] for row in here) == b["n_records"]
+            # a component that had a representative keeps it, with len 0 if it got no member
+            assert i == 0 or {row["id"] for row in rows[i - 1]} <= {row["id"] for row in here}
         elif any(fitted[:i]):  # the last fit's representatives, each with no member
-            assert b["nr_clust"] == 11
             assert here == [{**row, "batch_index": i, "len": 0} for row in rows[i - 1]]
         else:  # before the first fit
             assert (b["nr_clust"], here) == (0, [])
+    # Some fitted batch leaves a component that had a representative without a member.
+    assert any(f and any(row["len"] == 0 for row in here) for f, here in zip(fitted, rows))
     assert fitted[0] == (shift == timedelta(0))  # 6-hour windows start at midnight, not 07:00
 
 

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logevo.embeddings import (
     HashingProvider,
+    _unit_rows,
     PrecomputedProvider,
-    WordAveragingProvider,
     load_precomputed,
     load_word_vectors,
     write_precomputed,
 )
 from logevo.errors import MissingEmbedding, ProviderError
 from logevo.textnorm import TokenSeq
+
+from helpers import load_word_vectors_reference
 
 
 def seq(*tokens, source_id="r0"):
@@ -47,25 +50,57 @@ class TestWordAveraging:
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n")
         provider = load_word_vectors(path)
         assert provider.dim == 3
-        assert len(provider.vocab) == 2
+        assert len(provider.lines) == 2
+
+    @pytest.mark.parametrize("first", ["2 --3", "2 \u00b2"])
+    def test_a_first_line_that_is_not_two_integers_is_a_word(self, tmp_path, first):
+        # int() rejects both, which used to end in a ValueError traceback.
+        path = tmp_path / "vec.txt"
+        path.write_text(f"{first}\na 1\n")
+        provider = load_word_vectors(path)
+        assert provider.dim == 1 and list(provider.lines) == ["2", "a"]
+
+    # A word's line is checked when the word is first used, not at load.
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 3\na 1 0 0\nb 0 1\n")
+        provider = load_word_vectors(path)
         with pytest.raises(ProviderError, match=":3"):
-            load_word_vectors(path)
+            provider.embed([seq("a"), seq("b")])
 
     def test_non_numeric_value_names_line_and_value(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\nb 1 1,5\n")
+        provider = load_word_vectors(path)
         with pytest.raises(ProviderError, match=r"vec\.txt:2: non-numeric value.*'1,5'"):
-            load_word_vectors(path)
+            provider.embed([seq("b")])
 
     def test_repeated_word_is_checked_like_any_other(self, tmp_path):
+        # The first line of a repeated word is the one kept, and checked.
         path = tmp_path / "vec.txt"
-        path.write_text("a 1 0\na x 1\n")
+        path.write_text("b 1 0\na x 1\na 1 0\n")
+        provider = load_word_vectors(path)
         with pytest.raises(ProviderError, match=r"vec\.txt:2: non-numeric value"):
-            load_word_vectors(path)
+            provider.embed([seq("a")])
+
+    def test_unused_or_later_duplicate_bad_line_is_not_reported(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\nb 1 x\na 0 nan\nc 1\n")
+        provider = load_word_vectors(path)
+        np.testing.assert_array_equal(provider.embed([seq("a"), seq("a", "zz")]), [[1.0, 0.0]] * 2)
+        with pytest.raises(ProviderError, match=r"vec\.txt:2: non-numeric value"):
+            provider.embed([seq("b")])
+        with pytest.raises(ProviderError, match=r"vec\.txt:4: expected 2 floats, got 1"):
+            provider.embed([seq("c")])
+
+    def test_a_word_is_parsed_once(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\nb 0 1\n")
+        provider = load_word_vectors(path)
+        provider.embed([seq("a", "zz")])
+        assert provider.lookup("a") is provider.lookup("a")
+        assert provider.lookup("zz") is None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProviderError, match="nope.txt"):
@@ -77,8 +112,9 @@ class TestWordAveraging:
         # finite, but the squared norm of its vector is not.
         path = tmp_path / "vec.txt"
         path.write_text(f"a 1 0\nb 1 {value}\n")
+        provider = load_word_vectors(path)
         with pytest.raises(ProviderError, match=rf"^{path}:2: the vector of 'b' is not finite$"):
-            load_word_vectors(path)
+            provider.embed([seq("a", "b")])
 
     def test_duplicate_token_keeps_first(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -104,12 +140,12 @@ class TestWordAveraging:
             for lineno, line in enumerate(fh):
                 parts = line.split()
                 expected = np.array([float(v) for v in parts[1:]])
-                np.testing.assert_array_equal(provider.vocab[parts[0]], expected)
+                np.testing.assert_array_equal(provider.lookup(parts[0]), expected)
                 if lineno > 500:  # spot-check the head, full-file is slow
                     break
         # and a random sample from the tail
         for i in rng.integers(0, n_words, size=200):
-            np.testing.assert_allclose(provider.vocab[words[i]], matrix[i], atol=5e-7)
+            np.testing.assert_allclose(provider.lookup(words[i]), matrix[i], atol=5e-7)
 
     def test_permutation_invariance(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -313,7 +349,7 @@ def test_mixed_batch_falls_back_to_e0_and_matches_one_at_a_time(tmp_path, kind):
         fallback = [True, True, True, False, False]
 
         def raw(s):
-            hits = [provider.vocab[t] for t in s.tokens if t in provider.vocab]
+            hits = [v for v in map(provider.lookup, s.tokens) if v is not None]
             return np.mean(hits, axis=0) if hits else np.zeros(64)
     else:
         rng = np.random.default_rng(4)
@@ -336,15 +372,101 @@ def test_mixed_batch_falls_back_to_e0_and_matches_one_at_a_time(tmp_path, kind):
         np.testing.assert_array_equal(row, provider.vector(s))
 
 
-def test_batch_rows_equal_the_per_record_rule_to_the_bit():
+def test_batch_rows_equal_the_per_record_rule_to_the_bit(tmp_path):
     # Norms summed in another order than np.linalg.norm(r), as norm(rows, axis=1)
     # does, differ from it in the last bit for some of these rows.
     rng = np.random.default_rng(5)
     vocab = {f"w{k}": rng.normal(size=48) for k in range(300)}
-    provider = WordAveragingProvider(vocab, 48)
+    path = tmp_path / "vec.txt"  # repr gives back each float to the bit
+    path.write_text("".join(f"{w} {' '.join(map(repr, v.tolist()))}\n" for w, v in vocab.items()))
+    provider = load_word_vectors(path)
     batch = [seq(*(f"w{k}" for k in rng.integers(0, 300, size=rng.integers(0, 12))))
              for _ in range(500)]
     for row, s in zip(provider.embed(batch), batch):
         hits = [vocab[t] for t in s.tokens]
         raw = np.mean(hits, axis=0) if hits else np.zeros(48)
         np.testing.assert_array_equal(row, _one_record(raw))
+
+
+# --- the lazy loader against the loader that checks every line up front ---------
+
+_WORDS = ["a", "b", "c", "d"]
+# How a bad line spoils a good list of values.
+_SPOIL = {
+    "short": lambda v: v[:-1],
+    "long": lambda v: v + ["0"],
+    "text": lambda v: v[:-1] + ["x"],
+    "nan": lambda v: v[:-1] + ["nan"],
+    "overflow": lambda v: ["1e200"] * len(v),
+}
+
+
+@st.composite
+def _vectors_file(draw):
+    """(lines, line ends, index of the one bad line or None) of a small word2vec-text file."""
+    dim = draw(st.integers(1, 3))
+    space = st.sampled_from([" ", "\t", "  ", " \t"])
+    value = st.floats(-1e6, 1e6, allow_nan=False).map(repr) | st.sampled_from(["0", "-2", "1e-3"])
+    lines = [f"{draw(st.integers(0, 9))} {dim}"] if draw(st.booleans()) else []
+    first_word = None
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        first_word = len(lines) if first_word is None else first_word
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        values = "".join(draw(space) + draw(value) for _ in range(dim))
+        lines.append(lead + draw(st.sampled_from(_WORDS)) + values)
+    bad = None
+    if draw(st.booleans()):  # after the first word's line, which sets the dimension
+        values = _SPOIL[draw(st.sampled_from(sorted(_SPOIL)))]([draw(value) for _ in range(dim)])
+        bad = draw(st.integers(first_word + 1, len(lines)))
+        lines.insert(bad, " ".join([draw(st.sampled_from(_WORDS))] + values))
+    # str.splitlines ends a line at each of these, as in the reference. (A lone
+    # "\r" is left out: before a blank line's "\n" it would make one "\r\n".)
+    end = st.sampled_from(["\n", "\r\n", "\x0c", "\x85", "\u2028"])
+    return lines, draw(st.lists(end, min_size=len(lines), max_size=len(lines))), bad
+
+
+def _write(path, lines, ends):
+    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
+
+
+def _reference_rows(vocab, dim, batch):
+    rows = np.zeros((len(batch), dim))
+    for row, s in zip(rows, batch):
+        hits = [vocab[t] for t in s.tokens if t in vocab]
+        if hits:
+            row[:] = np.mean(hits, axis=0)
+    return _unit_rows(rows)
+
+
+_BATCHES = st.lists(st.lists(st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=4), max_size=4),
+                    max_size=3)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_vectors_file(), _BATCHES)
+def test_lazy_loader_agrees_with_the_eager_reference(tmp_path, file, tokens):
+    lines, ends, bad = file
+    path = tmp_path / "vec.txt"
+    _write(path, lines, ends)
+    batches = [[seq(*t) for t in batch] for batch in tokens]
+    provider = load_word_vectors(path)
+    if bad is not None:
+        with pytest.raises(ProviderError) as expected:
+            load_word_vectors_reference(path)
+        assert expected.value.args[0].startswith(f"{path}:{bad + 1}: ")
+        word = lines[bad].split()[0]
+        used = any(word in t for batch in tokens for t in batch)
+        if used and provider.lines[word][0] == bad + 1:  # the bad line is its word's first
+            with pytest.raises(ProviderError) as got:
+                for batch in batches:
+                    provider.embed(batch)
+            assert got.value.args[0] == expected.value.args[0]
+            return
+        # Only an unused line is bad: the rows are those of the file without it.
+        path = tmp_path / "clean.txt"
+        _write(path, lines[:bad] + lines[bad + 1:], ends[:bad] + ends[bad + 1:])
+    vocab, dim = load_word_vectors_reference(path)
+    for batch in batches:
+        np.testing.assert_array_equal(provider.embed(batch), _reference_rows(vocab, dim, batch))
