@@ -11,6 +11,7 @@ retired from assignment and the census.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import deque
 from collections.abc import Callable
@@ -248,6 +249,10 @@ class ClusterState:
     def to_snapshot(self) -> dict:
         """Params, next id and one row per cluster. An active row carries the
         centroid and the reservoir; a retired row only the cluster's history."""
+        return {**self._snapshot_head(), "clusters": [_snapshot_row(c) for c in self.clusters]}
+
+    def _snapshot_head(self) -> dict:
+        """The snapshot's keys before ``clusters``, which comes last."""
         return {
             "params": {
                 "theta": self.params.theta,
@@ -257,7 +262,6 @@ class ClusterState:
                 "reservoir_cap": self.params.reservoir_cap,
             },
             "next_id": self.next_id,
-            "clusters": [_snapshot_row(c) for c in self.clusters],
         }
 
     @classmethod
@@ -313,10 +317,27 @@ class ClusterState:
         return state
 
     def save(self, path: str | Path) -> None:
+        """Write ``json.dumps(self.to_snapshot(), separators=(",", ":"))``, one
+        cluster row at a time, so no more than one row is encoded at once.
+
+        The rows go to a temporary file beside ``path``, which replaces it only
+        when complete: a save that fails leaves the previous snapshot whole.
+        """
         # Compact: with ``indent`` the json module falls back to its pure-Python encoder.
-        Path(path).write_text(
-            json.dumps(self.to_snapshot(), separators=(",", ":")), encoding="utf-8"
-        )
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                fh.write(encode({**self._snapshot_head(), "clusters": []})[:-2])  # cut "]}"
+                for i, c in enumerate(self.clusters):
+                    fh.write("," if i else "")
+                    fh.write(encode(_snapshot_row(c)))
+                fh.write("]}")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterState":
@@ -337,6 +358,6 @@ def _snapshot_row(c: Cluster) -> dict:
             cen=c.cen.tolist(),
             reservoir_ids=[rid for rid, _, _ in c.reservoir],
             reservoir_texts=[text for _, text, _ in c.reservoir],
-            reservoir_vectors=[np.asarray(vec, dtype=float).tolist() for *_, vec in c.reservoir],
+            reservoir_vectors=np.array([vec for *_, vec in c.reservoir], dtype=float).tolist(),
         )
     return row

@@ -380,6 +380,7 @@ def _write_outputs(
     if problem is not None:  # a bug in the program: write nothing
         raise LogevoError(f"report.json breaks its schema: {problem}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
 
     # metrics.csv: the plot-ready series whose defined terms S, R and C average
     with (out_dir / "metrics.csv").open("w", newline="") as fh:
@@ -391,21 +392,26 @@ def _write_outputs(
             numbers = ("" if v is None else f"{v:.9f}" for v in (r.silhouette_raw, t.S, t.R, t.C))
             writer.writerow([r.index, r.nr_clust, *numbers])
 
-    # clusters.jsonl: one line per active cluster per batch
+    # clusters.jsonl: one line per active cluster per batch, keys sorted. A
+    # cluster that did not grow keeps its Representative, so each one's
+    # "representative" and "score" are encoded once.
+    tails: dict[int, str] = {}  # id(representative) -> its encoding without the "{"
     with (out_dir / "clusters.jsonl").open("w") as fh:
         for report in reports:
             for cid, rep in sorted(report.reps.items()):
-                row = {
-                    "batch_index": report.index,
-                    "id": cid,
-                    "len": report.sizes[cid],
-                    "representative": rep.text,
-                    "score": rep.score,
-                }
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                tail = tails.get(id(rep))
+                if tail is None:
+                    tail = tails[id(rep)] = json.dumps(
+                        {"representative": rep.text, "score": rep.score}
+                    )[1:]
+                fh.write(
+                    f'{{"batch_index": {report.index}, "id": {cid}, '
+                    f'"len": {report.sizes[cid]}, {tail}\n'
+                )
 
     if state is not None:
         state.save(out_dir / "state.json")
+    timings["write_s"] = time.perf_counter() - t0  # carried by report.json, written last
 
     (out_dir / "report.json").write_text(
         json.dumps(report_doc, indent=1, sort_keys=True), encoding="utf-8"

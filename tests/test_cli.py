@@ -55,6 +55,8 @@ def test_run_happy_path(workspace, capsys):
     for key in ("S", "R", "C", "lce"):
         assert 0.0 <= report["score"][key] <= 1.0
     assert report["levenshtein_window"] is None  # the centroid picks representatives
+    assert set(report["timings"]) == {"ingest_s", "embed_s", "cluster_s", "metrics_s", "write_s"}
+    assert report["timings"]["write_s"] >= 0
     assert "lce=" in capsys.readouterr().out
 
 
@@ -351,6 +353,46 @@ def test_clusters_jsonl_len_is_size_as_of_batch(tmp_path):
         seq = sizes[cid]
         assert all(a < b for a, b in zip(seq, seq[1:])), seq
         assert seq[-1] == final[cid]
+
+
+@pytest.mark.parametrize(
+    "records, flags, covered",
+    [
+        (lambda: make_evolution_jsonl(days=6, per_kind=4)
+         + [record(f"u{day}", "défaut ☃ 磁盘 \"quoted\" 𝄞", T0 + timedelta(days=day, hours=5))
+            for day in range(6)],
+         [], lambda reports, rows: any("☃" in row["representative"] for row in rows)),
+        # Odd days are empty batches, which repeat the last fit's representatives with len 0.
+        (lambda: [r for r in make_evolution_jsonl(days=10) if (r.timestamp - T0).days % 2 == 0],
+         ["--algo", "gmm"],
+         lambda reports, rows: any(r.sizes and set(r.sizes.values()) == {0} for r in reports)),
+        (lambda: make_evolution_jsonl(days=6, per_kind=4),
+         ["--rep", "levenshtein"], lambda reports, rows: any(row["score"] < 0 for row in rows)),
+    ],
+    ids=["online_non_ascii", "gmm_empty_batches", "levenshtein"],
+)
+def test_clusters_jsonl_is_each_row_dumped_with_sorted_keys(
+    tmp_path, monkeypatch, records, flags, covered
+):
+    input_path = tmp_path / "events.jsonl"
+    write_jsonl(input_path, records())
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"input": str(input_path), "format": "jsonl",
+                                       "params": {"theta": 0.3}, "gmm": {"K": 4},
+                                       "output_dir": str(tmp_path / "out")}))
+    seen, compute_scores = [], pipeline.compute_scores
+    monkeypatch.setattr(pipeline, "compute_scores",
+                        lambda reports, weights: seen.append(reports) or compute_scores(reports, weights))
+    assert main(["run", "--config", str(config_path), *flags]) == 0
+    [reports] = seen
+    rows = [
+        {"batch_index": r.index, "id": cid, "len": r.sizes[cid],
+         "representative": rep.text, "score": rep.score}
+        for r in reports for cid, rep in sorted(r.reps.items())
+    ]
+    expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert (tmp_path / "out" / "clusters.jsonl").read_bytes() == expected.encode("utf-8")
+    assert covered(reports, rows)
 
 
 # Each family sends five records a day. The quadratic edit-distance medoid gets a

@@ -1,6 +1,7 @@
 """Online clustering engine."""
 
 import json
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -520,6 +521,79 @@ class TestPersistence:
         damage(doc["clusters"][3])
         with pytest.raises(ValueError, match="snapshot cluster 3 "):
             ClusterState.from_snapshot(doc)
+
+    @staticmethod
+    def _mixed_state(texts=("text",)):
+        """A state with retired and active clusters whose texts cycle through ``texts``."""
+        rng = np.random.default_rng(14)
+        state = ClusterState(HyperParams(theta=0.4, staleness=timedelta(days=2)))
+        for i, p in enumerate(unit_vectors(rng, 30, 5)):
+            text = f"{texts[i % len(texts)]} {i}"
+            state.ingest_point(record(f"p{i}", text, ts=T0 + timedelta(days=i // 10)), p)
+        assert state.expire_stale(T0 + timedelta(days=3, hours=12))
+        assert state.active_clusters()
+        return state
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ClusterState(HyperParams()),
+            lambda: TestPersistence._mixed_state(),
+            lambda: TestPersistence._mixed_state(("défaut ☃", "磁盘 full 𝄞", "plain")),
+        ],
+        ids=["no_clusters", "active_and_retired", "non_ascii"],
+    )
+    def test_save_writes_the_compact_encoding_of_the_snapshot(self, tmp_path, make):
+        state = make()
+        state.save(tmp_path / "state.json")
+        expected = json.dumps(state.to_snapshot(), separators=(",", ":"))
+        assert (tmp_path / "state.json").read_bytes() == expected.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_save_holds_about_one_row_in_memory(self, tmp_path):
+        # 16 clusters of 512 members in 64 dimensions, each member near its
+        # cluster's own axis.
+        rng = np.random.default_rng(15)
+        state = ClusterState(HyperParams(theta=0.3, reservoir_cap=512))
+        noise = unit_vectors(rng, 16 * 512, 64)
+        for i, p in enumerate(noise):
+            v = 0.2 * p
+            v[i % 16] += 1.0
+            state.ingest_point(record(f"p{i}", f"member {i}"), v / np.linalg.norm(v))
+        assert [len(c.reservoir) for c in state.active_clusters()] == [512] * 16
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(lambda: json.dumps(state.to_snapshot()))
+        streamed = peak(lambda: state.save(tmp_path / "state.json"))
+        assert streamed < whole / 2, (streamed, whole)
+
+    def test_a_failed_save_leaves_the_previous_snapshot(self, tmp_path, monkeypatch):
+        state = self._mixed_state()
+        path = tmp_path / "state.json"
+        state.save(path)
+        before = path.read_bytes()
+        for i, p in enumerate(unit_vectors(np.random.default_rng(16), 10, 5)):
+            state.ingest_point(record(f"q{i}", ts=T0 + timedelta(days=4)), p)
+        real, calls = clustering._snapshot_row, []
+
+        def third_row_fails(c):
+            calls.append(c.id)
+            if len(calls) == 3:
+                raise RuntimeError("row 3")
+            return real(c)
+
+        monkeypatch.setattr(clustering, "_snapshot_row", third_row_fails)
+        with pytest.raises(RuntimeError, match="row 3"):
+            state.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_reservoir_cap_ring(self):
         state = ClusterState(HyperParams(theta=2.0, reservoir_cap=5))
