@@ -35,6 +35,18 @@ def state_with_centroids(*centroids, **kw):
     return state
 
 
+def mixed_state(texts):
+    """A state with retired and active clusters whose texts cycle through ``texts``."""
+    rng = np.random.default_rng(14)
+    state = ClusterState(HyperParams(theta=0.4, staleness=timedelta(days=2)))
+    for i, p in enumerate(unit_vectors(rng, 30, 5)):
+        text = f"{texts[i % len(texts)]} {i}"
+        state.ingest_point(record(f"p{i}", text, ts=T0 + timedelta(days=i // 10)), p)
+    assert state.expire_stale(T0 + timedelta(days=3, hours=12))
+    assert state.active_clusters()
+    return state
+
+
 def edited(state, cen=(), retired=()):
     """``state`` loaded back from its snapshot, with the centroids in ``cen``
     (id -> vector) replaced and the clusters in ``retired`` retired."""
@@ -522,29 +534,12 @@ class TestPersistence:
         with pytest.raises(ValueError, match="snapshot cluster 3 "):
             ClusterState.from_snapshot(doc)
 
-    @staticmethod
-    def _mixed_state(texts=("text",)):
-        """A state with retired and active clusters whose texts cycle through ``texts``."""
-        rng = np.random.default_rng(14)
-        state = ClusterState(HyperParams(theta=0.4, staleness=timedelta(days=2)))
-        for i, p in enumerate(unit_vectors(rng, 30, 5)):
-            text = f"{texts[i % len(texts)]} {i}"
-            state.ingest_point(record(f"p{i}", text, ts=T0 + timedelta(days=i // 10)), p)
-        assert state.expire_stale(T0 + timedelta(days=3, hours=12))
-        assert state.active_clusters()
-        return state
-
     @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: ClusterState(HyperParams()),
-            lambda: TestPersistence._mixed_state(),
-            lambda: TestPersistence._mixed_state(("défaut ☃", "磁盘 full 𝄞", "plain")),
-        ],
+        "texts", [None, ("text",), ("défaut ☃", "磁盘 full 𝄞", "plain")],
         ids=["no_clusters", "active_and_retired", "non_ascii"],
     )
-    def test_save_writes_the_compact_encoding_of_the_snapshot(self, tmp_path, make):
-        state = make()
+    def test_save_writes_the_compact_encoding_of_the_snapshot(self, tmp_path, texts):
+        state = ClusterState(HyperParams()) if texts is None else mixed_state(texts)
         state.save(tmp_path / "state.json")
         expected = json.dumps(state.to_snapshot(), separators=(",", ":"))
         assert (tmp_path / "state.json").read_bytes() == expected.encode("utf-8")
@@ -555,8 +550,7 @@ class TestPersistence:
         # cluster's own axis.
         rng = np.random.default_rng(15)
         state = ClusterState(HyperParams(theta=0.3, reservoir_cap=512))
-        noise = unit_vectors(rng, 16 * 512, 64)
-        for i, p in enumerate(noise):
+        for i, p in enumerate(unit_vectors(rng, 16 * 512, 64)):
             v = 0.2 * p
             v[i % 16] += 1.0
             state.ingest_point(record(f"p{i}", f"member {i}"), v / np.linalg.norm(v))
@@ -575,7 +569,7 @@ class TestPersistence:
         assert streamed < whole / 2, (streamed, whole)
 
     def test_a_failed_save_leaves_the_previous_snapshot(self, tmp_path, monkeypatch):
-        state = self._mixed_state()
+        state = mixed_state(("text",))
         path = tmp_path / "state.json"
         state.save(path)
         before = path.read_bytes()
