@@ -106,6 +106,9 @@ class ClusterState:
         self._norm = np.empty(0)
         # The last batch's rule, {id: Representative} and {id: size}.
         self._last: tuple[Callable | None, dict, dict] = (None, {}, {})
+        # What the run that fills the state records of the embedding its
+        # centroids live in (pipeline.prepare); None when unknown.
+        self.embedding: dict | None = None
 
     @property
     def next_id(self) -> int:
@@ -247,8 +250,8 @@ class ClusterState:
     # -- persistence ---------------------------------------------------------
 
     def to_snapshot(self) -> dict:
-        """Params, next id and one row per cluster. An active row carries the
-        centroid and the reservoir; a retired row only the cluster's history."""
+        """Params, embedding, next id and one row per cluster. An active row carries
+        the centroid and the reservoir; a retired row only the cluster's history."""
         return {**self._snapshot_head(), "clusters": [_snapshot_row(c) for c in self.clusters]}
 
     def _snapshot_head(self) -> dict:
@@ -261,6 +264,7 @@ class ClusterState:
                 "staleness_us": self.params.staleness // timedelta(microseconds=1),
                 "reservoir_cap": self.params.reservoir_cap,
             },
+            "embedding": self.embedding,
             "next_id": self.next_id,
         }
 
@@ -279,6 +283,10 @@ class ClusterState:
                 reservoir_cap=p["reservoir_cap"],
             )
         )
+        # Older snapshots record no embedding.
+        state.embedding = doc.get("embedding")
+        if not isinstance(state.embedding, (dict, type(None))):
+            raise ValueError(f"snapshot embedding {state.embedding!r} is not an object")
         # A retired row written by an older version may still carry a centroid
         # and a reservoir; they are ignored.
         for cd in doc["clusters"]:

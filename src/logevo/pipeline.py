@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -22,7 +23,7 @@ from .embeddings import (
     load_precomputed,
     load_word_vectors,
 )
-from .errors import ConfigError, EmptyStream, LogevoError
+from .errors import ConfigError, DegenerateInput, EmptyStream, LogevoError
 from .metrics import (
     BatchReport,
     BatchTerms,
@@ -261,26 +262,58 @@ def embed_records(config: RunConfig, records: list[LogRecord], provider) -> np.n
     )
 
 
+def _sha256(path: str | None) -> str:
+    """SHA-256 of a file, read 1 MiB at a time; None is the packaged stopword list."""
+    source = Path(path) if path is not None else (
+        resources.files("logevo.data").joinpath("stopwords.txt"))
+    digest = hashlib.sha256()
+    with source.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+# Where a file was read from; a resume compares what it held, by its SHA-256.
+_WHERE = ("path", "stopwords")
+
+
+def _embedding_record(config: RunConfig, provider) -> dict:
+    """What a snapshot records of the embedding its centroids live in: the
+    provider's kind with its ``d`` and ``seed``, or its file's path and SHA-256,
+    then the stopword file's path (None for the packaged list) and SHA-256."""
+    spec = config.provider
+    if spec["kind"] == "hashing":
+        found = {"d": provider.dim, "seed": provider.seed}
+    else:
+        found = {"path": spec["path"], "sha256": _sha256(spec["path"])}
+    return {"kind": spec["kind"], **found, "stopwords": config.stopwords_path,
+            "stopwords_sha256": _sha256(config.stopwords_path)}
+
+
 @dataclass(frozen=True)
 class Prepared:
-    """The embedded input of a run: its batches and each batch's array of unit rows."""
+    """The embedded input of a run: its batches, each batch's array of unit
+    rows, and the record of the embedding that a snapshot of the run holds."""
 
     batches: list[Batch]
     vectors_by_batch: list[np.ndarray]
     skipped: int
     timings: dict[str, float]
+    embedding: dict
 
 
 def prepare(config: RunConfig, state: ClusterState | None = None) -> Prepared:
     """Ingest, plan batches and embed: the stages that `run` and `sweep` share.
-    The provider and the stopwords load first, and book to embedding time; a
-    resumed ``state`` is checked against them before any input is read."""
+    The provider and the stopwords load first and the embedding is recorded,
+    all booked to embedding time; a resumed ``state`` is checked against them
+    before any input is read."""
     t0 = time.perf_counter()
     provider = config.resolved_provider()
     load_stopwords(config.stopwords_path)  # cached for embed_records
+    embedding = _embedding_record(config, provider)
     load_s = time.perf_counter() - t0
     if state is not None:
-        _check_resume(config, state, provider.dim)
+        _check_resume(config, state, provider.dim, embedding)
 
     t0 = time.perf_counter()
     records, skipped = ingest(config)
@@ -292,7 +325,8 @@ def prepare(config: RunConfig, state: ClusterState | None = None) -> Prepared:
     batches = plan_batches(records, config.resolved_plan())
     vectors_by_batch = [embed_records(config, list(b.records), provider) for b in batches]
     embed_s = load_s + time.perf_counter() - t0
-    return Prepared(batches, vectors_by_batch, skipped, {"ingest_s": ingest_s, "embed_s": embed_s})
+    timings = {"ingest_s": ingest_s, "embed_s": embed_s}
+    return Prepared(batches, vectors_by_batch, skipped, timings, embedding)
 
 
 def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
@@ -307,9 +341,11 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
             )
             continue
         if params is None:
-            params = gmm.fit_batch(vecs, gmm.fresh_params(vecs, K, seed))
-        else:
-            params = gmm.fit_batch(vecs, params)
+            try:
+                params = gmm.fresh_params(vecs, K, seed)
+            except DegenerateInput as exc:
+                raise DegenerateInput(f"batch {batch.index}: {exc}") from exc
+        params = gmm.fit_batch(vecs, params)
         labels = gmm.assign(vecs, params)
         members = [[] for _ in range(K)]
         for rec, vec, k in zip(batch.records, vecs, labels):
@@ -435,6 +471,7 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     else:
         if state is None:
             state = ClusterState(config.resolved_params())
+        state.embedding = prep.embedding
         reports = _online_process(config, prep, state)
     timings["cluster_s"] = time.perf_counter() - t0
 
@@ -447,9 +484,9 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     )
 
 
-def _check_resume(config: RunConfig, state: ClusterState, dim: int) -> None:
-    """A snapshot resumes only the online clusterer, with its own params and
-    vectors of its centroids' dimension."""
+def _check_resume(config: RunConfig, state: ClusterState, dim: int, embedding: dict) -> None:
+    """A snapshot resumes only the online clusterer, with its own params, vectors
+    of its centroids' dimension and the embedding it records, if it records one."""
     if config.algorithm == "GMM":
         raise ConfigError("algorithm: GMM cannot resume from a cluster-state snapshot")
     params, snapshot = config.resolved_params(), state.params
@@ -466,6 +503,16 @@ def _check_resume(config: RunConfig, state: ClusterState, dim: int) -> None:
             f"provider: its vectors have dimension {dim}, "
             f"the snapshot's centroids {len(active[0].cen)}"
         )
+    recorded = state.embedding
+    if recorded is None:  # an older snapshot
+        return
+    # Of another kind, every other field differs too: name the kind alone.
+    same_kind = recorded.get("kind") == embedding["kind"]
+    keys = [k for k in embedding if k not in _WHERE] if same_kind else ["kind"]
+    differ = [f"{k} {embedding[k]} is not the snapshot's {recorded.get(k)}"
+              for k in keys if embedding[k] != recorded.get(k)]
+    if differ:
+        raise ConfigError(f"provider: {'; '.join(differ)}")
 
 
 _SWEEP_AXES = ("theta", "alpha", "gamma")

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from logevo.errors import ProviderError
+from logevo.errors import DegenerateInput, ProviderError
+from logevo.gmm import MAX_ITERS, TOL, VAR_FLOOR, GmmParams
 from logevo.records import Batch, Level, LogRecord
 
 T0 = datetime(2017, 5, 16, tzinfo=timezone.utc)
@@ -195,6 +196,79 @@ def load_word_vectors_reference(path):
     return vocab, dim
 
 
+# --- the GMM baseline with a loop over its components -------------------------
+
+
+def gmm_log_densities_reference(points, params):
+    """Per-point, per-component log N(x | mu_k, diag(var_k)), one component at a
+    time from the differences x - mu_k. Shape (n, K)."""
+    n, d = points.shape
+    out = np.empty((n, params.K))
+    for k in range(params.K):
+        var = params.variances[k]
+        diff = points - params.means[k]
+        out[:, k] = -0.5 * (
+            d * np.log(2.0 * np.pi) + np.log(var).sum() + (diff**2 / var).sum(axis=1)
+        )
+    return out
+
+
+def _gmm_log_resp_reference(points, params):
+    weighted = gmm_log_densities_reference(points, params) + np.log(params.mixing)
+    m = weighted.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(weighted - m).sum(axis=1))
+    return weighted - lse[:, None], float(lse.sum())
+
+
+def gmm_m_step_reference(points, resp):
+    """Mixing, means and floored variances, each component's variance the
+    responsibility-weighted mean of its squared differences."""
+    nk = resp.sum(axis=0) + 1e-12
+    means = (resp.T @ points) / nk[:, None]
+    variances = np.empty_like(means)
+    for k in range(len(nk)):
+        diff = points - means[k]
+        variances[k] = np.maximum((resp[:, k][:, None] * diff**2).sum(axis=0) / nk[k], VAR_FLOOR)
+    return GmmParams(len(nk), means, variances, nk / nk.sum())
+
+
+def gmm_fresh_params_reference(points, K, seed=0):
+    """k-means++ seeding that recomputes each point's distance to every chosen
+    mean; too few distinct rows is checked first, by sorting them."""
+    n = points.shape[0]
+    if n < K or np.unique(points, axis=0).shape[0] < K:
+        raise DegenerateInput("fewer distinct points than components")
+    rng = np.random.default_rng(seed)
+    means = [points[rng.integers(n)]]
+    for _ in range(K - 1):
+        d2 = np.min([((points - m) ** 2).sum(axis=1) for m in means], axis=0)
+        total = d2.sum()
+        if total == 0.0:
+            raise DegenerateInput("fewer distinct points than components")
+        means.append(points[rng.choice(n, p=d2 / total)])
+    var = np.maximum(points.var(axis=0), VAR_FLOOR)
+    return GmmParams(K, np.array(means), np.tile(var, (K, 1)), np.full(K, 1.0 / K))
+
+
+def gmm_fit_reference(points, init):
+    """EM from ``init``, stopping as ``gmm.fit_batch`` does."""
+    X = np.asarray(points, dtype=float)
+    params, lls, prev_ll = init, [], -math.inf
+    for _ in range(MAX_ITERS):
+        log_r, ll = _gmm_log_resp_reference(X, params)
+        lls.append(ll)
+        if ll - prev_ll < TOL and math.isfinite(prev_ll):
+            break
+        prev_ll = ll
+        params = gmm_m_step_reference(X, np.exp(log_r))
+    return GmmParams(params.K, params.means, params.variances, params.mixing, lls)
+
+
+def gmm_assign_reference(points, params):
+    log_r, _ = _gmm_log_resp_reference(np.asarray(points, dtype=float), params)
+    return [int(i) for i in np.argmax(log_r, axis=1)]
+
+
 # --- jsonschema, the oracle of the schema checker ----------------------------
 
 
@@ -299,3 +373,12 @@ def make_evolution_jsonl(days: int = 10, per_kind: int = 20, seed: int = 5):
     return [
         LogRecord.build(rid_, ts, Level.ERROR, text) for rid_, ts, text in rows
     ]
+
+
+def write_jsonl(path, records):
+    """``records`` as the JSONL input of a run, one ERROR row each."""
+    with Path(path).open("w") as fh:
+        for r in records:
+            row = {"id": r.id, "timestamp": r.timestamp.isoformat(), "level": "ERROR",
+                   "text": r.raw_text}
+            fh.write(json.dumps(row) + "\n")

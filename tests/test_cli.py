@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -19,11 +20,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from logevo import pipeline
 from logevo.cli import main
 from logevo.clustering import ClusterState
+from logevo.embeddings import write_precomputed
 from logevo.errors import ConfigError, LogevoError
 from logevo.pipeline import RunConfig, run, sweep
 from logevo.representatives import LEVENSHTEIN_CAP
 
-from helpers import T0, make_evolution_jsonl, make_loghub_sample, record, schema_oracle
+from helpers import (
+    T0, make_evolution_jsonl, make_loghub_sample, record, schema_oracle, write_jsonl,
+)
 
 
 @pytest.fixture
@@ -58,14 +62,6 @@ def test_run_happy_path(workspace, capsys):
     assert set(report["timings"]) == {"ingest_s", "embed_s", "cluster_s", "metrics_s", "write_s"}
     assert report["timings"]["write_s"] >= 0
     assert "lce=" in capsys.readouterr().out
-
-
-def write_jsonl(path, records):
-    with path.open("w") as fh:
-        for r in records:
-            row = {"id": r.id, "timestamp": r.timestamp.isoformat(), "level": "ERROR",
-                   "text": r.raw_text}
-            fh.write(json.dumps(row) + "\n")
 
 
 def test_metrics_csv_is_the_series_report_json_averages(tmp_path):
@@ -435,6 +431,89 @@ def test_resume_needs_the_snapshot_params_and_the_online_clusterer(tmp_path, cha
     assert not (tmp_path / "out").exists()
 
 
+def embedding_files(tmp_path):
+    """Two word-vectors files, a copy of the first under another name, two
+    precomputed files for the evolution stream, and a stopword file."""
+    records = make_evolution_jsonl(days=3, per_kind=4, seed=5)
+    write_jsonl(tmp_path / "events.jsonl", records)
+    for name, seed in (("a", 1), ("b", 2)):
+        rng = np.random.default_rng(seed)
+        with (tmp_path / f"{name}.vec").open("w") as fh:
+            for word in ("database", "filesystem", "scheduler"):
+                fh.write(" ".join([word, *map(str, rng.normal(size=64))]) + "\n")
+        write_precomputed(tmp_path / f"{name}.jsonl", {r.id: rng.normal(size=64) for r in records})
+    (tmp_path / "copy.vec").write_bytes((tmp_path / "a.vec").read_bytes())
+    (tmp_path / "stop.txt").write_text("pool\n")
+
+
+_VEC_A = {"provider": {"kind": "word_vectors", "path": "a.vec"}}
+_SHA = "[0-9a-f]{64}"
+
+
+@pytest.mark.parametrize(
+    "first, second, detail",
+    [({}, {"provider": {"kind": "hashing", "seed": 1}}, "seed 1 is not the snapshot's 0"),
+     (_VEC_A, {"provider": {"kind": "word_vectors", "path": "b.vec"}},
+      f"sha256 {_SHA} is not the snapshot's {_SHA}"),
+     ({"provider": {"kind": "precomputed", "path": "a.jsonl"}},
+      {"provider": {"kind": "precomputed", "path": "b.jsonl"}},
+      f"sha256 {_SHA} is not the snapshot's {_SHA}"),
+     (_VEC_A, {}, "kind hashing is not the snapshot's word_vectors"),
+     ({}, {"stopwords_path": "stop.txt"}, f"stopwords_sha256 {_SHA} is not the snapshot's {_SHA}")],
+    ids=["hashing_seed", "vectors_file", "precomputed_file", "kind", "stopwords"],
+)
+def test_resume_needs_the_embedding_the_snapshot_records(tmp_path, monkeypatch, first, second,
+                                                         detail):
+    monkeypatch.chdir(tmp_path)
+    embedding_files(tmp_path)
+    config = dict(format="jsonl", params={"theta": 0.3})
+    run(RunConfig(input="events.jsonl", output_dir="first", **config, **first))
+    state = ClusterState.load(tmp_path / "first" / "state.json")
+    # The input does not exist: the check comes before any input is read.
+    with pytest.raises(ConfigError, match=f"^provider: {detail}$"):
+        run(RunConfig(input="missing.jsonl", output_dir="second", **config, **second), state)
+    assert not (tmp_path / "second").exists()
+
+
+def test_a_snapshot_records_its_embedding_and_resumes_from_a_copy_of_its_file(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    embedding_files(tmp_path)
+    config = dict(input="events.jsonl", format="jsonl", params={"theta": 0.3},
+                  stopwords_path="stop.txt")
+    run(RunConfig(**config, **_VEC_A, output_dir="first"))
+    doc = json.loads((tmp_path / "first" / "state.json").read_text())
+    assert list(doc) == ["params", "embedding", "next_id", "clusters"]
+    assert doc["embedding"] == {
+        "kind": "word_vectors", "path": "a.vec",
+        "sha256": hashlib.sha256((tmp_path / "a.vec").read_bytes()).hexdigest(),
+        "stopwords": "stop.txt", "stopwords_sha256": hashlib.sha256(b"pool\n").hexdigest(),
+    }
+    # The same bytes under another name are the same embedding; the new path is recorded.
+    state = ClusterState.load(tmp_path / "first" / "state.json")
+    run(RunConfig(**config, provider={"kind": "word_vectors", "path": "copy.vec"},
+                  output_dir="second"), state)
+    resumed = json.loads((tmp_path / "second" / "state.json").read_text())["embedding"]
+    assert resumed == dict(doc["embedding"], path="copy.vec")
+
+
+def test_an_older_snapshot_without_an_embedding_resumes_with_the_dimension_check(tmp_path):
+    write_jsonl(tmp_path / "events.jsonl", make_evolution_jsonl(days=3, per_kind=4, seed=5))
+    config = dict(input=str(tmp_path / "events.jsonl"), format="jsonl", params={"theta": 0.3})
+    run(RunConfig(**config, output_dir=str(tmp_path / "first")))
+    doc = json.loads((tmp_path / "first" / "state.json").read_text())
+    del doc["embedding"]
+    with pytest.raises(ConfigError, match=r"^provider: .* dimension 32, .* centroids 64$"):
+        run(RunConfig(**config, provider={"kind": "hashing", "d": 32},
+                      output_dir=str(tmp_path / "second")), ClusterState.from_snapshot(doc))
+    # Nothing tells another seed apart, as before; the resumed snapshot records it.
+    run(RunConfig(**config, provider={"kind": "hashing", "seed": 1},
+                  output_dir=str(tmp_path / "second")), ClusterState.from_snapshot(doc))
+    resumed = json.loads((tmp_path / "second" / "state.json").read_text())["embedding"]
+    assert (resumed["kind"], resumed["d"], resumed["seed"]) == ("hashing", 64, 1)
+
+
 def test_resume_takes_the_params_as_a_snapshot_holds_them(tmp_path):
     # Float seconds lost this staleness's last microsecond; state.json holds whole ones.
     write_jsonl(tmp_path / "events.jsonl", make_evolution_jsonl(days=3, per_kind=4, seed=5))
@@ -471,15 +550,21 @@ def test_resume_dimension_is_checked_before_the_input_is_read(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_window_too_short_for_the_stream_is_one_line_and_writes_nothing(tmp_path, capsys):
-    # Six events on each of three mornings; 1.728-second windows would cut them
-    # into 110,417 batches, nearly all empty.
+def write_ci_events(path):
+    """CI's 18 events: six on each of three mornings, at 00:00 to 05:00, alternating
+    two texts that each end in the hour."""
     texts = ["disk quota exceeded on volume seven", "connection refused by host db"]
-    with (tmp_path / "events.jsonl").open("w") as fh:
+    with path.open("w") as fh:
         for day, k in itertools.product(range(1, 4), range(6)):
             row = {"timestamp": f"2017-05-0{day}T0{k}:00:00Z", "level": "ERROR",
                    "text": f"{texts[k % 2]} {k}"}
             fh.write(json.dumps(row) + "\n")
+
+
+def test_a_window_too_short_for_the_stream_is_one_line_and_writes_nothing(tmp_path, capsys):
+    # Six events on each of three mornings; 1.728-second windows would cut them
+    # into 110,417 batches, nearly all empty.
+    write_ci_events(tmp_path / "events.jsonl")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "input": str(tmp_path / "events.jsonl"), "format": "jsonl", "params": {"theta": 0.3},
@@ -492,6 +577,30 @@ def test_a_window_too_short_for_the_stream_is_one_line_and_writes_nothing(tmp_pa
         "2017-05-03T05:00:00+00:00 into 110417 batches, more than the 100000 a run allows\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "changes, detail",
+    [({}, "batch 0: 6 distinct points, fewer than K=11 components"),
+     ({"gmm": {"K": 4}, "batch": {"mode": "FIXED_WINDOW", "window_days": 0.125}},
+      "batch 0: 3 distinct points, fewer than K=4 components")],
+    ids=["default_K", "three_hour_windows"],
+)
+def test_gmm_with_too_few_distinct_points_is_one_line_and_writes_nothing(
+    tmp_path, capsys, changes, detail
+):
+    write_ci_events(tmp_path / "events.jsonl")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "input": str(tmp_path / "events.jsonl"), "format": "jsonl", "algorithm": "GMM",
+        "output_dir": str(tmp_path / "out"), **changes,
+    }))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"METRIC: {detail}\n"
+    assert not (tmp_path / "out").exists()
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), "gmm": {"K": 2}}))
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["clusters.jsonl", "metrics.csv", "report.json"]
 
 
 def test_zero_centroid_run(tmp_path, capsys):

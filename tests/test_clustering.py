@@ -443,6 +443,18 @@ class TestPersistence:
         a, b = ClusterState.load(compact), ClusterState.load(indented)
         assert a.to_snapshot() == b.to_snapshot() == state.to_snapshot()
 
+    def test_embedding_round_trips_and_must_be_an_object(self):
+        state = state_with_centroids((1, 0), (0, 1), theta=0.0)
+        doc = state.to_snapshot()
+        assert doc["embedding"] is None  # a state the pipeline did not fill
+        doc["embedding"] = {"kind": "hashing", "d": 2, "seed": 0}
+        assert ClusterState.from_snapshot(doc).to_snapshot() == doc
+        del doc["embedding"]  # older snapshots record none
+        assert ClusterState.from_snapshot(doc).embedding is None
+        doc["embedding"] = "hashing"
+        with pytest.raises(ValueError, match="^snapshot embedding 'hashing' is not an object$"):
+            ClusterState.from_snapshot(doc)
+
     @pytest.mark.parametrize("cid", [2, 4])
     def test_rejects_ids_out_of_step(self, cid):
         state = state_with_centroids((1, 0), (0, 1), (-1, 0), (0, -1), theta=0.0)
