@@ -15,7 +15,7 @@ import os
 import sys
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -256,33 +256,35 @@ class ClusterState:
 
     def _snapshot_head(self) -> dict:
         """The snapshot's keys before ``clusters``, which comes last."""
+        # HyperParams' fields in order, with staleness as whole microseconds in its place.
+        params = {("staleness_us" if k == "staleness" else k): v
+                  for k, v in asdict(self.params).items()}
+        params["staleness_us"] //= timedelta(microseconds=1)
         return {
-            "params": {
-                "theta": self.params.theta,
-                "alpha": self.params.alpha,
-                "gamma": self.params.gamma,
-                "staleness_us": self.params.staleness // timedelta(microseconds=1),
-                "reservoir_cap": self.params.reservoir_cap,
-            },
+            "params": params,
             "embedding": self.embedding,
             "next_id": self.next_id,
         }
 
     @classmethod
     def from_snapshot(cls, doc: dict) -> "ClusterState":
+        """The state a snapshot holds; a damaged snapshot raises ValueError."""
+        try:
+            return cls._from_snapshot(doc)
+        except KeyError as exc:
+            raise ValueError(f"snapshot: missing key {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"snapshot: {exc}") from exc
+
+    @classmethod
+    def _from_snapshot(cls, doc: dict) -> "ClusterState":
         p = doc["params"]
         # Older snapshots hold float seconds, exact only up to 2**53 microseconds.
         staleness = (timedelta(microseconds=p["staleness_us"]) if "staleness_us" in p
                      else timedelta(seconds=p["staleness_seconds"]))
-        state = cls(
-            HyperParams(
-                theta=p["theta"],
-                alpha=p["alpha"],
-                gamma=p["gamma"],
-                staleness=staleness,
-                reservoir_cap=p["reservoir_cap"],
-            )
-        )
+        state = cls(HyperParams(**{
+            f.name: staleness if f.name == "staleness" else p[f.name] for f in fields(HyperParams)
+        }))
         # Older snapshots record no embedding.
         state.embedding = doc.get("embedding")
         if not isinstance(state.embedding, (dict, type(None))):
@@ -303,19 +305,20 @@ class ClusterState:
             if cd["active"]:
                 cen = np.array(cd["cen"], dtype=float)
                 ids, texts = cd["reservoir_ids"], cd.get("reservoir_texts")
-                vectors = cd.get("reservoir_vectors")
-                reservoir = [(rid, text, np.array(vec, dtype=float))
-                             for rid, text, vec in zip(ids, texts or (), vectors or ())]
+                try:  # one (members, d) array; a ragged list raises, a missing one is shape ()
+                    vectors = np.array(cd.get("reservoir_vectors"), dtype=float)
+                except ValueError:
+                    vectors = None
                 # A resumed run writes its representatives from these texts.
-                if texts is None or vectors is None or not 0 < len(ids) == len(texts) == len(vectors) or any(
-                    vec.shape != cen.shape for *_, vec in reservoir
+                if texts is None or vectors is None or not 0 < len(ids) == len(texts) or (
+                    vectors.shape != (len(ids), *cen.shape)
                 ):
                     raise ValueError(
                         f"snapshot cluster {cd['id']} needs one reservoir text and one reservoir "
                         f"vector of its centroid's dimension for each of its {len(ids)} reservoir "
                         f"ids, and at least one id"
                     )
-                cluster.reservoir.extend(reservoir)
+                cluster.reservoir.extend(zip(ids, texts, vectors))
                 state._attach(cluster, cen)
         if doc["next_id"] != len(state.clusters):
             raise ValueError(

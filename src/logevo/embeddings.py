@@ -86,16 +86,11 @@ class WordAveragingProvider(_Provider):
         return vec
 
     def _rows(self, seqs: Sequence[TokenSeq]) -> np.ndarray:
-        # One lookup per distinct token of the batch, in order of first use, so
-        # that of two bad lines the one of the word used first is reported.
-        found = {}
-        for t in dict.fromkeys(t for seq in seqs for t in seq.tokens):
-            vec = self.lookup(t)
-            if vec is not None:
-                found[t] = vec
+        # Tokens are looked up in order, so that of two bad lines the one of
+        # the word used first is reported.
         rows = np.zeros((len(seqs), self.dim))
         for row, seq in zip(rows, seqs):
-            hits = [found[t] for t in seq.tokens if t in found]
+            hits = [vec for vec in map(self.lookup, seq.tokens) if vec is not None]
             if hits:
                 row[:] = np.mean(hits, axis=0)
         return rows

@@ -48,7 +48,7 @@ from .representatives import (
     representative_by_centroid,
     representative_by_levenshtein,
 )
-from .textnorm import load_stopwords, normalize
+from .textnorm import load_stopwords, normalize, stopwords_file
 
 _BATCH_SHORTHAND = {
     "1d": BatchPlan.fixed(timedelta(days=1)),
@@ -262,10 +262,8 @@ def embed_records(config: RunConfig, records: list[LogRecord], provider) -> np.n
     )
 
 
-def _sha256(path: str | None) -> str:
-    """SHA-256 of a file, read 1 MiB at a time; None is the packaged stopword list."""
-    source = Path(path) if path is not None else (
-        resources.files("logevo.data").joinpath("stopwords.txt"))
+def _sha256(source) -> str:
+    """SHA-256 of a file, read 1 MiB at a time."""
     digest = hashlib.sha256()
     with source.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -285,9 +283,9 @@ def _embedding_record(config: RunConfig, provider) -> dict:
     if spec["kind"] == "hashing":
         found = {"d": provider.dim, "seed": provider.seed}
     else:
-        found = {"path": spec["path"], "sha256": _sha256(spec["path"])}
+        found = {"path": spec["path"], "sha256": _sha256(Path(spec["path"]))}
     return {"kind": spec["kind"], **found, "stopwords": config.stopwords_path,
-            "stopwords_sha256": _sha256(config.stopwords_path)}
+            "stopwords_sha256": _sha256(stopwords_file(config.stopwords_path))}
 
 
 @dataclass(frozen=True)
@@ -334,19 +332,15 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
     params, reps = None, {}
     reports = []
     for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
-        if not len(vecs):
-            # No fit runs, so the components and their representatives stay; none has a member.
-            reports.append(
-                BatchReport(batch.index, [], len(reps), reps, sizes=dict.fromkeys(reps, 0))
-            )
-            continue
-        if params is None:
-            try:
-                params = gmm.fresh_params(vecs, K, seed)
-            except DegenerateInput as exc:
-                raise DegenerateInput(f"batch {batch.index}: {exc}") from exc
-        params = gmm.fit_batch(vecs, params)
-        labels = gmm.assign(vecs, params)
+        labels = []  # an empty batch fits nothing
+        if len(vecs):
+            if params is None:
+                try:
+                    params = gmm.fresh_params(vecs, K, seed)
+                except DegenerateInput as exc:
+                    raise DegenerateInput(f"batch {batch.index}: {exc}") from exc
+            params = gmm.fit_batch(vecs, params)
+            labels = gmm.assign(vecs, params)
         members = [[] for _ in range(K)]
         for rec, vec, k in zip(batch.records, vecs, labels):
             members[k].append((rec.id, rec.scrubbed_text, vec))

@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 from .records import TS_TOKEN, URL_TOKEN
 
@@ -16,13 +17,17 @@ _TOKEN_RE = re.compile(r"<TS>|<URL>|[A-Za-z0-9]+")
 _PLACEHOLDERS = {TS_TOKEN, URL_TOKEN}
 
 
+def stopwords_file(path: str | None = None):
+    """The stopword file at ``path``; None is the packaged list."""
+    if path is None:
+        return resources.files("logevo.data").joinpath("stopwords.txt")
+    return Path(path)
+
+
 @lru_cache(maxsize=None)
 def load_stopwords(path: str | None = None) -> frozenset[str]:
-    if path is None:
-        text = resources.files("logevo.data").joinpath("stopwords.txt").read_text()
-    else:
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
+    with stopwords_file(path).open(encoding="utf-8", errors="replace") as fh:
+        text = fh.read()
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 

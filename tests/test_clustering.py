@@ -1,11 +1,13 @@
 """Online clustering engine."""
 
+import functools
 import json
 import tracemalloc
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logevo import clustering
 from logevo.clustering import ClusterState, HyperParams
@@ -56,6 +58,26 @@ def edited(state, cen=(), retired=()):
     for cid in retired:
         doc["clusters"][cid]["active"] = False
     return ClusterState.from_snapshot(doc)
+
+
+@functools.cache
+def run_snapshot() -> str:
+    """The snapshot, as JSON, of a small run with active and retired clusters
+    and a recorded embedding."""
+    rng = np.random.default_rng(12)
+    state = ClusterState(HyperParams(theta=0.4, staleness=timedelta(days=2)))
+    for batch, vecs in daily_batches(unit_vectors(rng, 60, 5), per_day=10):
+        state.process_batch(batch, vecs)
+    state.embedding = {"kind": "hashing", "d": 5, "seed": 0}
+    return json.dumps(state.to_snapshot())
+
+
+def walk(node, path=()):
+    """Each (path, node) of a JSON document, the document itself first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from walk(child, (*path, key))
 
 
 class TestNearest:
@@ -544,6 +566,47 @@ class TestPersistence:
         doc = state.to_snapshot()
         damage(doc["clusters"][3])
         with pytest.raises(ValueError, match="snapshot cluster 3 "):
+            ClusterState.from_snapshot(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_damaged_snapshot_raises_one_value_error(self, data):
+        # Deleting any one key or replacing any one object with []; the keys
+        # inside the embedding are the resume check's to judge.
+        doc = json.loads(run_snapshot())
+        rows = doc["clusters"]
+        assert not all(r["active"] for r in rows) and any(r["active"] for r in rows)
+        nodes = list(walk(doc))
+        keys = [p for p, _ in nodes if p and isinstance(p[-1], str) and "embedding" not in p[:-1]]
+        objects = [p for p, node in nodes if isinstance(node, dict)]
+        delete = data.draw(st.booleans())
+        path = data.draw(st.sampled_from(keys if delete else objects))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        if delete:
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = []
+        else:
+            doc = []
+        if delete and path == ("embedding",):  # as an older snapshot
+            assert ClusterState.from_snapshot(doc).embedding is None
+            return
+        with pytest.raises(ValueError, match="^snapshot"):
+            ClusterState.from_snapshot(doc)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: doc.pop("next_id"), "snapshot: missing key 'next_id'"),
+            (lambda doc: doc["clusters"][0].pop("len"), "snapshot: missing key 'len'"),
+            (lambda doc: doc.update(params=[]), "snapshot: list indices must be integers"),
+        ],
+        ids=["next_id", "len", "params"],
+    )
+    def test_a_damaged_snapshot_names_the_damage(self, damage, message):
+        doc = json.loads(run_snapshot())
+        damage(doc)
+        with pytest.raises(ValueError, match=f"^{message}"):
             ClusterState.from_snapshot(doc)
 
     @pytest.mark.parametrize(

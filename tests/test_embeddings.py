@@ -94,6 +94,14 @@ class TestWordAveraging:
         with pytest.raises(ProviderError, match=r"vec\.txt:4: expected 2 floats, got 1"):
             provider.embed([seq("c")])
 
+    def test_of_two_bad_lines_the_one_of_the_word_used_first_is_reported(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\nb 1 x\nc 1\n")
+        with pytest.raises(ProviderError, match=r"vec\.txt:3: "):
+            load_word_vectors(path).embed([seq("a", "c"), seq("b")])
+        with pytest.raises(ProviderError, match=r"vec\.txt:2: "):
+            load_word_vectors(path).embed([seq("b"), seq("c")])
+
     def test_a_word_is_parsed_once(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\nb 0 1\n")
