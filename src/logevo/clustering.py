@@ -279,12 +279,16 @@ class ClusterState:
     @classmethod
     def _from_snapshot(cls, doc: dict) -> "ClusterState":
         p = doc["params"]
-        # Older snapshots hold float seconds, exact only up to 2**53 microseconds.
-        staleness = (timedelta(microseconds=p["staleness_us"]) if "staleness_us" in p
-                     else timedelta(seconds=p["staleness_seconds"]))
-        state = cls(HyperParams(**{
-            f.name: staleness if f.name == "staleness" else p[f.name] for f in fields(HyperParams)
-        }))
+        try:  # a value out of range, or a staleness past timedelta's
+            # Older snapshots hold float seconds, exact only up to 2**53 microseconds.
+            staleness = (timedelta(microseconds=p["staleness_us"]) if "staleness_us" in p
+                         else timedelta(seconds=p["staleness_seconds"]))
+            state = cls(HyperParams(**{
+                f.name: staleness if f.name == "staleness" else p[f.name]
+                for f in fields(HyperParams)
+            }))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"snapshot: params: {exc}") from exc
         # Older snapshots record no embedding.
         state.embedding = doc.get("embedding")
         if not isinstance(state.embedding, (dict, type(None))):
@@ -292,18 +296,27 @@ class ClusterState:
         # A retired row written by an older version may still carry a centroid
         # and a reservoir; they are ignored.
         for cd in doc["clusters"]:
-            if cd["id"] != len(state.clusters):
-                raise ValueError(f"snapshot cluster ids are not 0, 1, 2, ...: found {cd['id']}")
-            cluster = Cluster(
-                id=cd["id"],
-                len=cd["len"],
-                created_at=datetime.fromisoformat(cd["created_at"]).astimezone(timezone.utc),
-                last_updated=datetime.fromisoformat(cd["last_updated"]).astimezone(timezone.utc),
-                cap=state.params.reservoir_cap,
-            )
+            cid = cd["id"]
+            if cid != len(state.clusters):
+                raise ValueError(f"snapshot cluster ids are not 0, 1, 2, ...: found {cid}")
+            try:  # a time or a centroid that cannot be read, in Python's own words
+                created_at, last_updated = (
+                    datetime.fromisoformat(cd[k]).astimezone(timezone.utc)
+                    for k in ("created_at", "last_updated")
+                )
+                cen = np.array(cd["cen"], dtype=float) if cd["active"] else None
+                if cen is not None and cen.ndim != 1:
+                    raise ValueError("centroid is not a list of numbers")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"snapshot cluster {cid}: {exc}") from exc
+            cluster = Cluster(cid, cd["len"], created_at, last_updated, state.params.reservoir_cap)
             state.clusters.append(cluster)
-            if cd["active"]:
-                cen = np.array(cd["cen"], dtype=float)
+            if cen is not None:
+                if state._rows and len(cen) != state._cen.shape[1]:
+                    raise ValueError(
+                        f"snapshot cluster {cid}: centroid dimension {len(cen)} is not the "
+                        f"first active row's {state._cen.shape[1]}"
+                    )
                 ids, texts = cd["reservoir_ids"], cd.get("reservoir_texts")
                 try:  # one (members, d) array; a ragged list raises, a missing one is shape ()
                     vectors = np.array(cd.get("reservoir_vectors"), dtype=float)
@@ -314,7 +327,7 @@ class ClusterState:
                     vectors.shape != (len(ids), *cen.shape)
                 ):
                     raise ValueError(
-                        f"snapshot cluster {cd['id']} needs one reservoir text and one reservoir "
+                        f"snapshot cluster {cid} needs one reservoir text and one reservoir "
                         f"vector of its centroid's dimension for each of its {len(ids)} reservoir "
                         f"ids, and at least one id"
                     )
@@ -353,7 +366,11 @@ class ClusterState:
     @classmethod
     def load(cls, path: str | Path) -> "ClusterState":
         text = Path(path).read_text(encoding="utf-8", errors="replace")
-        return cls.from_snapshot(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"snapshot: {path} is not JSON: {exc}") from exc
+        return cls.from_snapshot(doc)
 
 
 def _snapshot_row(c: Cluster) -> dict:

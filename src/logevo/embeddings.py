@@ -184,7 +184,7 @@ class PrecomputedProvider(_Provider):
         for row, seq in zip(rows, seqs):
             vec = self.table.get(seq.source_id)
             if vec is None:
-                raise MissingEmbedding(seq.source_id)
+                raise MissingEmbedding(f"no precomputed vector for record id {seq.source_id!r}")
             row[:] = vec
         return rows
 

@@ -36,10 +36,6 @@ class ProviderError(LogevoError):
 class MissingEmbedding(ProviderError):
     """A precomputed-vector provider has no entry for a record id."""
 
-    def __init__(self, record_id: str):
-        super().__init__(f"no precomputed vector for record id {record_id!r}")
-        self.record_id = record_id
-
 
 class EmptyReservoir(LogevoError):
     """A cluster has no reservoir members to pick a representative from."""

@@ -10,7 +10,6 @@ import numpy as np
 from .errors import AllUndefined, NoSharedClusters, WeightError
 from .representatives import Representative
 
-UNDEFINED = None  # silhouette sentinel for degenerate batches
 _SILHOUETTE_BLOCK = 1024  # rows of the n x k product held at once
 
 
@@ -51,14 +50,14 @@ def silhouette_batch(points: list[tuple[np.ndarray, int]]) -> float | None:
     """
     n = len(points)
     if n < 2:
-        return UNDEFINED
+        return None
     column: dict[int, int] = {}
     labels = np.fromiter(
         (column.setdefault(cid, len(column)) for _, cid in points), dtype=np.intp, count=n
     )
     k = len(column)
     if k < 2:
-        return UNDEFINED
+        return None
     X = np.array([v for v, _ in points], dtype=float)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     sums = np.zeros((k, X.shape[1]))

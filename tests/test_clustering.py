@@ -2,8 +2,9 @@
 
 import functools
 import json
+import re
 import tracemalloc
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ def run_snapshot() -> str:
         state.process_batch(batch, vecs)
     state.embedding = {"kind": "hashing", "d": 5, "seed": 0}
     return json.dumps(state.to_snapshot())
+
+
+def python_says(call, *args, **kw) -> str:
+    """The message of the exception that ``call(*args, **kw)`` raises."""
+    try:
+        call(*args, **kw)
+    except Exception as exc:
+        return str(exc)
+    raise AssertionError(f"{call.__name__} raised nothing")
 
 
 def walk(node, path=()):
@@ -608,6 +618,48 @@ class TestPersistence:
         damage(doc)
         with pytest.raises(ValueError, match=f"^{message}"):
             ClusterState.from_snapshot(doc)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: doc["params"].update(theta=5),
+             "snapshot: params: theta must be in [0, 2]"),
+            (lambda doc: doc["params"].update(staleness_us=1e300),
+             f"snapshot: params: {python_says(timedelta, microseconds=1e300)}"),
+            (lambda doc: doc["params"].update(staleness_us=10**30),
+             f"snapshot: params: {python_says(timedelta, microseconds=10**30)}"),
+            (lambda doc: doc["clusters"][0].update(created_at="yesterday"),
+             "snapshot cluster 0: Invalid isoformat string: 'yesterday'"),
+            (lambda doc: doc["clusters"][1].update(last_updated=5),
+             f"snapshot cluster 1: {python_says(datetime.fromisoformat, 5)}"),
+            (lambda doc: doc["clusters"][2].update(created_at="0001-01-01T00:00:00+01:00"),
+             "snapshot cluster 2: date value out of range"),
+            (lambda doc: doc["clusters"][1].update(cen="abc"),
+             "snapshot cluster 1: could not convert string to float: 'abc'"),
+            (lambda doc: doc["clusters"][1].update(cen=0.5),
+             "snapshot cluster 1: centroid is not a list of numbers"),
+            (lambda doc: [v.append(0.0) for v in (doc["clusters"][2]["cen"],
+                                                  *doc["clusters"][2]["reservoir_vectors"])],
+             "snapshot cluster 2: centroid dimension 6 is not the first active row's 5"),
+            (lambda doc: [v.pop() for v in (doc["clusters"][3]["cen"],
+                                            *doc["clusters"][3]["reservoir_vectors"])],
+             "snapshot cluster 3: centroid dimension 4 is not the first active row's 5"),
+        ],
+        ids=["theta", "staleness_float", "staleness_int", "time_text", "time_number",
+             "time_before_calendar", "cen_text", "cen_number", "cen_longer", "cen_shorter"],
+    )
+    def test_a_damaged_value_is_named_with_its_place(self, damage, message):
+        doc = json.loads(run_snapshot())
+        damage(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClusterState.from_snapshot(doc)
+
+    def test_a_file_that_is_not_json_is_named(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("")
+        message = f"snapshot: {path} is not JSON: Expecting value: line 1 column 1 (char 0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClusterState.load(path)
 
     @pytest.mark.parametrize(
         "texts", [None, ("text",), ("défaut ☃", "磁盘 full 𝄞", "plain")],

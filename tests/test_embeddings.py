@@ -239,7 +239,7 @@ class TestPrecomputed:
         path = tmp_path / "emb.jsonl"
         write_precomputed(path, {"r0": np.array([1.0, 0.0])})
         provider = load_precomputed(path)
-        with pytest.raises(MissingEmbedding, match="r9"):
+        with pytest.raises(MissingEmbedding, match="^no precomputed vector for record id 'r9'$"):
             provider.vector(seq(source_id="r9"))
 
     def test_missing_id_in_a_batch(self, tmp_path):
@@ -247,7 +247,7 @@ class TestPrecomputed:
         write_precomputed(path, {"r0": np.array([1.0, 0.0]), "r1": np.array([0.0, 1.0])})
         provider = load_precomputed(path)
         batch = [seq(source_id="r0"), seq(source_id="r7"), seq(source_id="r1")]
-        with pytest.raises(MissingEmbedding, match="r7"):
+        with pytest.raises(MissingEmbedding, match="^no precomputed vector for record id 'r7'$"):
             provider.embed(batch)
 
     def test_round_trip(self, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from logevo.errors import AllUndefined, NoSharedClusters, WeightError
 from logevo.metrics import (
-    UNDEFINED,
     BatchMetricInput,
     batch_terms,
     score_C,
@@ -50,10 +49,10 @@ class TestSilhouette:
 
     def test_single_cluster_undefined(self):
         points = [(np.array([1.0, 0.0]), 0), (np.array([0.0, 1.0]), 0)]
-        assert silhouette_batch(points) is UNDEFINED
+        assert silhouette_batch(points) is None
 
     def test_single_point_undefined(self):
-        assert silhouette_batch([(np.array([1.0, 0.0]), 0)]) is UNDEFINED
+        assert silhouette_batch([(np.array([1.0, 0.0]), 0)]) is None
 
     def test_singleton_cluster_scores_zero(self):
         points = [
@@ -82,7 +81,7 @@ class TestSilhouette:
             got = silhouette_batch(points)
             want = silhouette_reference(points)
             if want is None:
-                assert got is UNDEFINED
+                assert got is None
             else:
                 assert got == pytest.approx(want, abs=1e-9)
 
@@ -118,7 +117,7 @@ class TestSilhouette:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert value is not UNDEFINED
+        assert value is not None
         assert peak < 50 * 2**20, peak
 
 
