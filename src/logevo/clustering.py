@@ -293,23 +293,28 @@ class ClusterState:
         state.embedding = doc.get("embedding")
         if not isinstance(state.embedding, (dict, type(None))):
             raise ValueError(f"snapshot embedding {state.embedding!r} is not an object")
+        cap = state.params.reservoir_cap
         # A retired row written by an older version may still carry a centroid
         # and a reservoir; they are ignored.
         for cd in doc["clusters"]:
-            cid = cd["id"]
-            if cid != len(state.clusters):
+            cid, n, active = cd["id"], cd["len"], cd["active"]
+            if type(cid) is not int or cid != len(state.clusters):  # a bool is an int to Python
                 raise ValueError(f"snapshot cluster ids are not 0, 1, 2, ...: found {cid}")
-            try:  # a time or a centroid that cannot be read, in Python's own words
+            try:  # a value that cannot be read, in Python's own words where it has them
+                if type(n) is not int or n < 1:
+                    raise ValueError(f"len {n!r} is not a positive integer")
+                if type(active) is not bool:
+                    raise ValueError(f"active {active!r} is not true or false")
                 created_at, last_updated = (
                     datetime.fromisoformat(cd[k]).astimezone(timezone.utc)
                     for k in ("created_at", "last_updated")
                 )
-                cen = np.array(cd["cen"], dtype=float) if cd["active"] else None
-                if cen is not None and cen.ndim != 1:
+                cen = np.array(cd["cen"], dtype=float) if active else None  # null reads as NaN
+                if cen is not None and not (cen.ndim == 1 and np.isfinite(cen).all()):
                     raise ValueError("centroid is not a list of numbers")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"snapshot cluster {cid}: {exc}") from exc
-            cluster = Cluster(cid, cd["len"], created_at, last_updated, state.params.reservoir_cap)
+            cluster = Cluster(cid, n, created_at, last_updated, cap)
             state.clusters.append(cluster)
             if cen is not None:
                 if state._rows and len(cen) != state._cen.shape[1]:
@@ -320,16 +325,16 @@ class ClusterState:
                 ids, texts = cd["reservoir_ids"], cd.get("reservoir_texts")
                 try:  # one (members, d) array; a ragged list raises, a missing one is shape ()
                     vectors = np.array(cd.get("reservoir_vectors"), dtype=float)
-                except ValueError:
-                    vectors = None
+                except (TypeError, ValueError):
+                    vectors = np.empty(0)
                 # A resumed run writes its representatives from these texts.
-                if texts is None or vectors is None or not 0 < len(ids) == len(texts) or (
-                    vectors.shape != (len(ids), *cen.shape)
-                ):
+                if not (type(ids) is type(texts) is list and 0 < len(ids) == len(texts)
+                        and len(ids) <= min(n, cap) and all(type(s) is str for s in ids + texts)
+                        and vectors.shape == (len(ids), len(cen)) and np.isfinite(vectors).all()):
                     raise ValueError(
-                        f"snapshot cluster {cid} needs one reservoir text and one reservoir "
-                        f"vector of its centroid's dimension for each of its {len(ids)} reservoir "
-                        f"ids, and at least one id"
+                        f"snapshot cluster {cid} needs from 1 to min(len, reservoir_cap) = "
+                        f"{min(n, cap)} reservoir ids, each a string with a string text and a "
+                        f"finite vector of its centroid's dimension; it has {len(ids)} ids"
                     )
                 cluster.reservoir.extend(zip(ids, texts, vectors))
                 state._attach(cluster, cen)
@@ -368,7 +373,7 @@ class ClusterState:
         text = Path(path).read_text(encoding="utf-8", errors="replace")
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             raise ValueError(f"snapshot: {path} is not JSON: {exc}") from exc
         return cls.from_snapshot(doc)
 

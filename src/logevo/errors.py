@@ -37,12 +37,6 @@ class MissingEmbedding(ProviderError):
     """A precomputed-vector provider has no entry for a record id."""
 
 
-class EmptyReservoir(LogevoError):
-    """A cluster has no reservoir members to pick a representative from."""
-
-    cli_class = "METRIC"
-
-
 class AllUndefined(LogevoError):
     """No batch produced a defined silhouette value."""
 

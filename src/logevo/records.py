@@ -220,12 +220,18 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
                 raise ParseError(f"{path}:{lineno}: invalid JSON") from exc
             if not isinstance(obj, dict) or not {"timestamp", "level", "text"} <= obj.keys():
                 raise ParseError(f"{path}:{lineno}: not an object with timestamp, level and text")
-            rid, ts_raw = str(obj.get("id", f"{path.name}:{lineno}")), obj["timestamp"]
-            level, text = map_level(str(obj["level"])), str(obj["text"])
+            rid, text = obj.get("id", f"{path.name}:{lineno}"), obj["text"]
+            if type(text) is not str:
+                raise ParseError(f"{path}:{lineno}: text {json.dumps(text)} is not a string")
+            if type(rid) not in (str, int):  # a bool is an int to isinstance
+                raise ParseError(
+                    f"{path}:{lineno}: id {json.dumps(rid)} is not a string or an integer"
+                )
+            ts_raw, level = obj["timestamp"], map_level(str(obj["level"]))
             try:
                 if isinstance(ts_raw, bool):  # an int to Python, but not a time
                     raise ValueError(f"{json.dumps(ts_raw)} is not a time")
@@ -233,7 +239,7 @@ def read_jsonl(path: str | Path) -> list[LogRecord]:
                     ts = datetime.fromtimestamp(ts_raw, tz=timezone.utc)
                 else:
                     ts = datetime.fromisoformat(str(ts_raw).replace("Z", "+00:00"))
-                records.append(LogRecord.build(rid, ts, level, text))
+                records.append(LogRecord.build(str(rid), ts, level, text))
             except (ValueError, OverflowError, OSError, ParseError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad timestamp: {exc}") from exc
     return records

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyReservoir
-
 LEVENSHTEIN_CAP = 256
 
 
@@ -28,8 +26,6 @@ def representative_by_centroid(cluster) -> Representative:
     toward the earliest reservoir insertion, so repeated calls on an unchanged
     cluster are stable.
     """
-    if not cluster.reservoir:
-        raise EmptyReservoir(f"cluster {cluster.id} has an empty reservoir")
     cen = cluster.cen
     norm = np.linalg.norm(cen)
     u = cen / norm if norm else cen  # zero for a zero centroid: every member scores 0
@@ -97,8 +93,6 @@ def representative_by_levenshtein(cluster) -> Representative:
 
     Its cost is quadratic in the members considered, hence the window.
     """
-    if not cluster.reservoir:
-        raise EmptyReservoir(f"cluster {cluster.id} has an empty reservoir")
     members = list(cluster.reservoir)[-LEVENSHTEIN_CAP:]
     sums = [0] * len(members)
     for i, (_, s, _) in enumerate(members):

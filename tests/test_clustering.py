@@ -3,12 +3,14 @@
 import functools
 import json
 import re
+import sys
+import tempfile
 import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logevo import clustering
 from logevo.clustering import ClusterState, HyperParams
@@ -82,12 +84,27 @@ def python_says(call, *args, **kw) -> str:
     raise AssertionError(f"{call.__name__} raised nothing")
 
 
+def needs(cid, most, has) -> str:
+    """The message for an active row whose reservoir breaks the snapshot's rules."""
+    return (f"snapshot cluster {cid} needs from 1 to min(len, reservoir_cap) = {most} reservoir "
+            f"ids, each a string with a string text and a finite vector of its centroid's "
+            f"dimension; it has {has} ids")
+
+
 def walk(node, path=()):
     """Each (path, node) of a JSON document, the document itself first."""
     yield path, node
     if isinstance(node, (dict, list)):
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
             yield from walk(child, (*path, key))
+
+
+# Each scalar of a row of run_snapshot(): its id, len, active and two times, and
+# each element of its centroid, reservoir ids, texts and vectors.
+_ROW_SCALARS = [
+    path for path, node in walk(json.loads(run_snapshot()))
+    if path[:1] == ("clusters",) and not isinstance(node, (dict, list))
+]
 
 
 class TestNearest:
@@ -604,6 +621,52 @@ class TestPersistence:
         with pytest.raises(ValueError, match="^snapshot"):
             ClusterState.from_snapshot(doc)
 
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(_ROW_SCALARS),
+           value=st.sampled_from([None, True, 0, -1, 2.5, "x", [], {}]))
+    @example(path=("clusters", 1, "len"), value="x")
+    def test_a_damaged_row_fails_at_load_or_is_harmless(self, path, value):
+        doc, written = json.loads(run_snapshot()), json.loads(run_snapshot())
+        functools.reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = value
+        try:
+            state = ClusterState.from_snapshot(doc)
+        except ValueError as exc:
+            assert str(exc).startswith("snapshot"), exc
+            return
+        # What loads is written back as JSON, each value of the type the writer gave it.
+        again = json.loads(json.dumps(state.to_snapshot(), allow_nan=False))
+        assert [(p, type(node)) for p, node in walk(again)] == [
+            (p, type(node)) for p, node in walk(written)
+        ]
+        # One point on each written centroid, so every active cluster that is
+        # not retired first takes a merge.
+        cens = [row["cen"] for row in written["clusters"] if row["active"]]
+        start = T0 + timedelta(days=6)
+        records = tuple(record(f"q{i}", ts=start + timedelta(hours=i)) for i in range(len(cens)))
+        vecs = np.array(cens) / np.linalg.norm(cens, axis=1, keepdims=True)
+        state.process_batch(Batch(0, start, start + timedelta(days=1), records), vecs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), per_day=st.integers(1, 8),
+           cap=st.integers(1, 4), gamma=st.integers(1, 3))
+    def test_every_snapshot_the_writer_makes_loads_back(self, seed, n, per_day, cap, gamma):
+        # Reservoirs of 1 to 4 fill and clusters idle for two days retire, so
+        # rows of every kind the writer makes reach the loader.
+        params = HyperParams(theta=0.5, gamma=gamma, staleness=timedelta(days=1),
+                             reservoir_cap=cap)
+        batches = daily_batches(unit_vectors(np.random.default_rng(seed), n, 3), per_day)
+        state = ClusterState(params)
+        for batch, vecs in batches[:-1]:
+            state.process_batch(batch, vecs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/state.json"
+            state.save(path)
+            resumed = ClusterState.load(path)
+            assert resumed.to_snapshot() == state.to_snapshot()
+            resumed.process_batch(*batches[-1])
+            resumed.save(path)
+            assert ClusterState.load(path).to_snapshot() == resumed.to_snapshot()
+
     @pytest.mark.parametrize(
         "damage, message",
         [
@@ -644,9 +707,31 @@ class TestPersistence:
             (lambda doc: [v.pop() for v in (doc["clusters"][3]["cen"],
                                             *doc["clusters"][3]["reservoir_vectors"])],
              "snapshot cluster 3: centroid dimension 4 is not the first active row's 5"),
+            (lambda doc: doc["clusters"][1]["cen"].__setitem__(2, None),
+             "snapshot cluster 1: centroid is not a list of numbers"),
+            (lambda doc: doc["clusters"][1].update(id=True),
+             "snapshot cluster ids are not 0, 1, 2, ...: found True"),
+            (lambda doc: doc["clusters"][1].update(len="x"),
+             "snapshot cluster 1: len 'x' is not a positive integer"),
+            (lambda doc: doc["clusters"][2].update(len=-3),
+             "snapshot cluster 2: len -3 is not a positive integer"),
+            (lambda doc: doc["clusters"][3].update(len=2.5),
+             "snapshot cluster 3: len 2.5 is not a positive integer"),
+            (lambda doc: doc["clusters"][0].update(active="no"),
+             "snapshot cluster 0: active 'no' is not true or false"),
+            (lambda doc: doc["clusters"][2]["reservoir_vectors"][1].__setitem__(0, None),
+             needs(2, 4, 4)),
+            (lambda doc: doc["clusters"][1].update(reservoir_ids=[7, 8, 9]), needs(1, 3, 3)),
+            (lambda doc: doc["clusters"][1].update(reservoir_texts=[5, 6, 7]), needs(1, 3, 3)),
+            (lambda doc: doc["clusters"][1].update(reservoir_ids="abc"), needs(1, 3, 3)),
+            (lambda doc: doc["params"].update(reservoir_cap=3), needs(2, 3, 4)),
+            (lambda doc: doc["clusters"][3].update(len=1), needs(3, 1, 7)),
         ],
         ids=["theta", "staleness_float", "staleness_int", "time_text", "time_number",
-             "time_before_calendar", "cen_text", "cen_number", "cen_longer", "cen_shorter"],
+             "time_before_calendar", "cen_text", "cen_number", "cen_longer", "cen_shorter",
+             "cen_null", "id_bool", "len_text", "len_negative", "len_fraction", "active_text",
+             "vector_null", "ids_numbers", "texts_numbers", "ids_text", "ids_past_cap",
+             "ids_past_len"],
     )
     def test_a_damaged_value_is_named_with_its_place(self, damage, message):
         doc = json.loads(run_snapshot())
@@ -658,6 +743,13 @@ class TestPersistence:
         path = tmp_path / "state.json"
         path.write_text("")
         message = f"snapshot: {path} is not JSON: Expecting value: line 1 column 1 (char 0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClusterState.load(path)
+
+    def test_a_number_past_the_digit_limit_is_named(self, tmp_path):
+        path, text = tmp_path / "state.json", "[" + "1" * (sys.get_int_max_str_digits() + 1) + "]"
+        path.write_text(text)
+        message = f"snapshot: {path} is not JSON: {python_says(json.loads, text)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ClusterState.load(path)
 

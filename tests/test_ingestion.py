@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from datetime import datetime, timedelta, timezone
 from unittest.mock import patch
 
@@ -515,6 +516,34 @@ class TestJsonl:
             tmp_path, json.dumps(dict(self.GOOD, timestamp=timestamp))
         )
         with pytest.raises(ParseError, match=f"^{path}:2: bad timestamp"):
+            read()
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [("text", None, "text null is not a string"),
+         ("text", ["disk", "full"], 'text ["disk", "full"] is not a string'),
+         ("text", 5, "text 5 is not a string"),
+         ("id", None, "id null is not a string or an integer"),
+         ("id", True, "id true is not a string or an integer"),
+         ("id", 1.5, "id 1.5 is not a string or an integer"),
+         ("id", [], "id [] is not a string or an integer")],
+        ids=["text_null", "text_list", "text_number", "id_null", "id_true", "id_float", "id_list"],
+    )
+    def test_a_text_or_an_id_of_another_type(self, tmp_path, field, value, problem):
+        path, read = self.read_with_second_line(
+            tmp_path, json.dumps(dict(self.GOOD, **{field: value}))
+        )
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:2: {problem}')}$"):
+            read()
+
+    def test_an_integer_id_reads_as_its_digits(self, tmp_path):
+        _, read = self.read_with_second_line(tmp_path, json.dumps(dict(self.GOOD, id=7)))
+        assert [r.id for r in read()] == ["events.jsonl:1", "7"]
+
+    def test_an_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        path, read = self.read_with_second_line(tmp_path, f'{{"id": {digits}}}')
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:2: invalid JSON')}$"):
             read()
 
     def test_bytes_that_are_not_utf8(self, tmp_path):

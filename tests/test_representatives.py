@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from logevo.clustering import ClusterState, HyperParams
-from logevo.errors import EmptyReservoir
 from logevo.representatives import (
     LEVENSHTEIN_CAP,
     levenshtein,
@@ -77,12 +76,6 @@ class TestCentroid:
         rep = representative_by_centroid(c)
         assert (rep.record_id, rep.text, rep.score) == ("m0", "first", 0.0)
 
-    def test_empty_reservoir(self):
-        c = cluster_with([(1, 0)])
-        c.reservoir.clear()
-        with pytest.raises(EmptyReservoir):
-            representative_by_centroid(c)
-
 
 class TestLevenshteinDistance:
     @pytest.mark.parametrize(
@@ -148,12 +141,6 @@ class TestLevenshteinMedoid:
         rep = representative_by_levenshtein(c)
         assert rep.record_id == "m0"
         assert rep.score == 0.0
-
-    def test_empty_reservoir(self):
-        c = cluster_with([(1, 0)])
-        c.reservoir.clear()
-        with pytest.raises(EmptyReservoir):
-            representative_by_levenshtein(c)
 
     def test_identical_texts_first_member(self):
         c = cluster_with([(1, 0)] * 4, texts=["same text"] * 4)
