@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -51,24 +53,55 @@ class _Provider:
 class WordAveragingProvider(_Provider):
     """Averages per-token word vectors; out-of-vocabulary tokens are skipped.
 
-    ``lines`` maps each word to the number and value text of its line in
-    ``path``. A word's values are parsed and checked on its first lookup, and
-    the vector is kept, so a run converts only the words its records use.
+    ``lines`` maps each word to the number of its first line in ``path``, and
+    ``offsets[n - 1]`` is the byte offset of line n's physical line (its bytes
+    up to a "\\n" or a lone "\\r"), with the file's size last; the lines that
+    "\\f", "\\x85" or "\\u2028" split one physical line into share its offset.
+    A word's line is read back, parsed and checked on its first use, and the
+    vector is kept, so a run holds the values of only the words its records
+    use. The file must not change while the provider is used.
     """
 
-    def __init__(self, path: Path, lines: dict[str, tuple[int, str]], dim: int):
+    def __init__(self, path: Path, lines: dict[str, int], offsets: Sequence[int], dim: int):
         self.path = path
         self.lines = lines
+        self.offsets = offsets
         self.dim = dim
         self._vectors: dict[str, np.ndarray] = {}
 
     def lookup(self, word: str) -> np.ndarray | None:
         """The vector of ``word``, or None for a word not in the file."""
-        vec = self._vectors.get(word)
-        if vec is not None or word not in self.lines:
-            return vec
-        lineno, text = self.lines[word]
-        values = text.split()
+        if word not in self._vectors and word in self.lines:
+            self._read([word])
+        return self._vectors.get(word)
+
+    def _read(self, words: list[str]) -> None:
+        """Read, check and keep the vector of each word, in order, with one open."""
+        try:
+            with open(self.path, "rb", buffering=0) as fh:
+                for word in words:
+                    self._vectors[word] = self._parse(fh.fileno(), word, self.lines[word])
+        except OSError as exc:
+            raise ProviderError(f"cannot read word vectors from {self.path}: {exc}") from exc
+
+    def _parse(self, fd: int, word: str, lineno: int) -> np.ndarray:
+        """The checked vector on line ``lineno``, which must still start with ``word``."""
+        offsets = self.offsets
+        first = last = lineno - 1  # the physical line's first and last line, from 0
+        start = offsets[first]
+        while first and offsets[first - 1] == start:
+            first -= 1
+        while offsets[last + 1] == start:
+            last += 1
+        size = offsets[last + 1] - start
+        data = os.pread(fd, size, start)
+        physical = _lines_of(data)
+        fields = []
+        if len(data) == size and len(physical) == last - first + 1:
+            fields = physical[lineno - 1 - first].split()
+        if not fields or fields[0] != word:
+            raise ProviderError(f"{self.path}:{lineno}: the file changed since it was indexed")
+        values = fields[1:]
         if len(values) != self.dim:
             raise ProviderError(
                 f"{self.path}:{lineno}: expected {self.dim} floats, got {len(values)}"
@@ -82,36 +115,71 @@ class WordAveragingProvider(_Provider):
             finite = np.isfinite(vec @ vec)
         if not finite:
             raise ProviderError(f"{self.path}:{lineno}: the vector of {word!r} is not finite")
-        self._vectors[word] = vec
         return vec
 
     def _rows(self, seqs: Sequence[TokenSeq]) -> np.ndarray:
-        # Tokens are looked up in order, so that of two bad lines the one of
-        # the word used first is reported.
+        # New words are read in the order of first use, so that of two bad
+        # lines the one of the word used first is reported.
+        vectors = self._vectors
+        new = dict.fromkeys(t for seq in seqs for t in seq.tokens
+                            if t not in vectors and t in self.lines)
+        if new:
+            self._read(list(new))
         rows = np.zeros((len(seqs), self.dim))
         for row, seq in zip(rows, seqs):
-            hits = [vec for vec in map(self.lookup, seq.tokens) if vec is not None]
+            hits = [vectors[t] for t in seq.tokens if t in vectors]
             if hits:
-                row[:] = np.mean(hits, axis=0)
+                # np.mean(hits, axis=0) to the bit, the sign of a zero included,
+                # without the cost of its Python wrapper.
+                row[:] = np.add.reduce(hits, axis=0)
+                row /= len(hits)
         return rows
+
+
+# A lone "\r" ends a physical line too, as in open()'s text mode. Neither "\r"
+# nor "\n" is a byte of a longer UTF-8 character, so each physical line decodes
+# on its own as it would in the whole file.
+_CR_LINES = re.compile(rb"[^\r]*\r\n?|[^\r]+")
+
+
+def _lines_of(raw: bytes) -> list[str]:
+    """The lines of one physical line, decoded as they are in the whole file."""
+    return raw.decode("utf-8", errors="replace").splitlines()
+
+
+def _text_lines(fh):
+    """(byte offset of its physical line, line) of each line of a binary file."""
+    offset = 0
+    for chunk in fh:  # the bytes up to a "\n"
+        # Most chunks hold no "\r" but that of a "\r\n" end, and need no split; a
+        # "\r" the test lets through ("x\ry" at the end) still ends a line, as "\f" does.
+        for raw in _CR_LINES.findall(chunk) if b"\r" in chunk[:-2] else (chunk,):
+            for line in _lines_of(raw):
+                yield offset, line
+            offset += len(raw)
 
 
 def load_word_vectors(path: str | Path) -> WordAveragingProvider:
     """Index a word2vec-text-format file (optional "<count> <dim>" header).
 
-    One pass over the file keeps each word's line number and value text; a
-    repeated word keeps its first line, unchecked beyond that. Here only the
-    file, the header and the first word's dimension are checked: the provider
-    checks a word's line when the word is first used.
+    One pass over the file keeps each word's first line number and each
+    line's byte offset, not its text; a repeated word keeps its first line,
+    unchecked beyond that. Each physical line is decoded on its own, and
+    lines end where str.splitlines ends them: at "\\r", "\\f", "\\x85" or
+    "\\u2028" too. Here only the file, the header and the first word's
+    dimension are checked: the provider checks a word's line when the word
+    is first used.
     """
+    from array import array  # here, not at the top: runs with another provider skip its 0.1 MB
+
     path = Path(path)
-    lines: dict[str, tuple[int, str]] = {}
+    lines: dict[str, int] = {}
+    offsets = array("q")
     dim: int | None = None
     try:
-        with path.open(encoding="utf-8", errors="replace", newline="") as fh:
-            # Lines end where str.splitlines ends them: at \f, \x85 or \u2028 too.
-            text_lines = (line for raw in fh for line in raw.splitlines())
-            for lineno, line in enumerate(text_lines, start=1):
+        with path.open("rb") as fh:
+            for lineno, (offset, line) in enumerate(_text_lines(fh), start=1):
+                offsets.append(offset)
                 if lineno == 1:
                     head = line.split()
                     # int() reads each such part; "--3" or "²" (a digit, not a decimal) is a word.
@@ -131,12 +199,13 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
                     if not dim:
                         raise ProviderError(f"{path}:{lineno}: the word {word!r} has no vector")
                 if word not in lines:
-                    lines[word] = (lineno, values)
+                    lines[word] = lineno
+            offsets.append(fh.tell())
     except OSError as exc:
         raise ProviderError(f"cannot read word vectors from {path}: {exc}") from exc
     if not lines:
         raise ProviderError(f"{path}: no word vectors found")
-    return WordAveragingProvider(path, lines, dim)
+    return WordAveragingProvider(path, lines, offsets, dim)
 
 
 class HashingProvider(_Provider):

@@ -204,7 +204,7 @@ def _schema_problem(name: str, doc) -> str | None:
 def read_json(path: str | Path, what: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8", errors="replace"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ConfigError(f"invalid JSON in {what} {path}: {exc}") from exc
 
 

@@ -264,6 +264,26 @@ def test_side_file_that_is_not_utf8_reads_with_replacement(tmp_path, capsys, sid
         assert (code, err) == (0, ""), err
 
 
+@pytest.mark.parametrize("side_file", ["config", "grid"])
+def test_an_integer_past_the_digit_limit_is_one_config_line(tmp_path, workspace, capsys, side_file):
+    # json.loads rejects an int of more digits than int() reads with a bare
+    # ValueError, not a JSONDecodeError.
+    _, config_path, config = workspace
+    huge = "9" * 5000
+    argv = ["run", "--config", str(config_path)]
+    if side_file == "config":
+        text = json.dumps(dict(config, params={"theta": 0.3, "gamma": 7}))
+        config_path.write_text(text.replace('"gamma": 7', f'"gamma": {huge}'))
+    else:
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(f'{{"gamma": [{huge}]}}')
+        argv = ["sweep", "--config", str(config_path), "--grid", str(grid_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"CONFIG: invalid JSON in {side_file} ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_fields_rejected(tmp_path, capsys):
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps({"input": "x", "bogus_field": 1}))

@@ -1,5 +1,7 @@
 """Embedding providers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -114,6 +116,20 @@ class TestWordAveraging:
         with pytest.raises(ProviderError, match="nope.txt"):
             load_word_vectors(tmp_path / "nope.txt")
 
+    # Rewritten in place: another word at the offset of "b", or the line of "b" cut short.
+    @pytest.mark.parametrize("changed", ["a 1 0\nc 5 5\n", "a 1 0\nb 0"], ids=["moved", "cut"])
+    def test_a_file_changed_since_it_was_indexed_gives_no_vector(self, tmp_path, changed):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\nb 0 1\n")
+        provider = load_word_vectors(path)
+        path.write_text(changed)
+        for _ in range(2):  # nothing is kept of the failed read
+            with pytest.raises(ProviderError, match=rf"^{path}:2: the file changed since it was indexed$"):
+                provider.embed([seq("a", "b")])
+        path.unlink()
+        with pytest.raises(ProviderError, match=rf"^cannot read word vectors from {path}: "):
+            provider.lookup("b")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1e200"])
     def test_non_finite_value_names_line(self, tmp_path, value):
         # Such a word would turn every record that uses it into e0. 1e200 is
@@ -154,6 +170,26 @@ class TestWordAveraging:
         # and a random sample from the tail
         for i in rng.integers(0, n_words, size=200):
             np.testing.assert_allclose(provider.lookup(words[i]), matrix[i], atol=5e-7)
+
+    def test_a_lone_cr_ends_a_physical_line_and_a_form_feed_does_not(self, tmp_path):
+        # A word on a shared physical line is read back with the whole line;
+        # one physical line per "\r" keeps a file with only "\r" ends cheap.
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"a 1 0\rb 0 1\r\nc 1 1\x0cd 2 2\n")
+        provider = load_word_vectors(path)
+        assert list(provider.offsets) == [0, 6, 13, 13, 25]
+        assert provider.lines == {"a": 1, "b": 2, "c": 3, "d": 4}
+        np.testing.assert_array_equal([provider.lookup(w) for w in "dcba"],
+                                      [[2, 2], [1, 1], [0, 1], [1, 0]])
+
+    def test_a_zero_has_the_sign_np_mean_gives_it(self, tmp_path):
+        # A sum of -0.0 values is -0.0 or 0.0 by where it starts; state.json writes the sign.
+        path = tmp_path / "vec.txt"
+        path.write_text("a -0.0 1\nb -0.0 3\n")
+        rows = load_word_vectors(path).embed([seq("a"), seq("a", "b")])
+        a, b = np.array([-0.0, 1.0]), np.array([-0.0, 3.0])
+        expected = np.array([_one_record(np.mean([a], axis=0)), _one_record(np.mean([a, b], axis=0))])
+        assert rows.tobytes() == expected.tobytes()
 
     def test_permutation_invariance(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -396,17 +432,46 @@ def test_batch_rows_equal_the_per_record_rule_to_the_bit(tmp_path):
         np.testing.assert_array_equal(row, _one_record(raw))
 
 
+def test_the_index_takes_less_memory_than_half_the_file(tmp_path):
+    # 20,000 words of 48 values, as the drift_many benchmark writes them. The
+    # index keeps a line number per word and an offset per line, not the text.
+    rng = np.random.default_rng(1)
+    letters = np.array(list("bcfhjklmnpqrtvxzaiou"))
+    path = tmp_path / "vectors.txt"
+    with path.open("w") as fh:
+        fh.write("20000 48\n")
+        for k, row in enumerate(np.round(rng.standard_normal((20_000, 48)), 5).tolist()):
+            word = "".join(rng.choice(letters, size=5 + 2 * (k % 2))) + str(k)
+            fh.write(word + " " + " ".join(map(str, row)) + "\n")
+    tracemalloc.start()
+    try:
+        provider = load_word_vectors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(provider.lines) == 20_000
+    assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)
+
+
 # --- the lazy loader against the loader that checks every line up front ---------
 
-_WORDS = ["a", "b", "c", "d"]
+# Words as written; a surrogate stands for a byte that is not UTF-8 and is
+# written as that byte: one that never starts a character, and a three-byte
+# character cut after its second byte. Both "a" spellings read as "a\ufffd".
+_WORDS = ["a", "b", "c", "d", "a\udcff", "a\udce2\udc80", "\udcff"]
 # How a bad line spoils a good list of values.
 _SPOIL = {
     "short": lambda v: v[:-1],
     "long": lambda v: v + ["0"],
+    "none": lambda v: [],  # a cut character of the word then ends the line
     "text": lambda v: v[:-1] + ["x"],
     "nan": lambda v: v[:-1] + ["nan"],
     "overflow": lambda v: ["1e200"] * len(v),
 }
+
+
+def _decoded(text):
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", errors="replace")
 
 
 @st.composite
@@ -429,14 +494,19 @@ def _vectors_file(draw):
         values = _SPOIL[draw(st.sampled_from(sorted(_SPOIL)))]([draw(value) for _ in range(dim)])
         bad = draw(st.integers(first_word + 1, len(lines)))
         lines.insert(bad, " ".join([draw(st.sampled_from(_WORDS))] + values))
-    # str.splitlines ends a line at each of these, as in the reference. (A lone
-    # "\r" is left out: before a blank line's "\n" it would make one "\r\n".)
-    end = st.sampled_from(["\n", "\r\n", "\x0c", "\x85", "\u2028"])
-    return lines, draw(st.lists(end, min_size=len(lines), max_size=len(lines))), bad
+    # str.splitlines ends a line at each of these, as in the reference. A
+    # physical line runs to a "\n" or a lone "\r"; the other three end a line in it.
+    end = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"])
+    ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
+    for k in range(len(lines) - 1):  # "\r" and a blank line's "\n" would make one "\r\n"
+        if ends[k] == "\r" and lines[k + 1] + ends[k + 1] == "\n":
+            ends[k] = "\r\n"
+    return lines, ends, bad
 
 
 def _write(path, lines, ends):
-    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
+    text = "".join(line + end for line, end in zip(lines, ends))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 def _reference_rows(vocab, dim, batch):
@@ -448,11 +518,14 @@ def _reference_rows(vocab, dim, batch):
     return _unit_rows(rows)
 
 
-_BATCHES = st.lists(st.lists(st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=4), max_size=4),
+_TOKENS = sorted({_decoded(w) for w in _WORDS}) + ["zz"]
+_BATCHES = st.lists(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=4), max_size=4),
                     max_size=3)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# At least 300 examples, or more under a profile that asks for more (conftest.py).
+@settings(max_examples=max(300, settings().max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_vectors_file(), _BATCHES)
 def test_lazy_loader_agrees_with_the_eager_reference(tmp_path, file, tokens):
     lines, ends, bad = file
@@ -464,9 +537,9 @@ def test_lazy_loader_agrees_with_the_eager_reference(tmp_path, file, tokens):
         with pytest.raises(ProviderError) as expected:
             load_word_vectors_reference(path)
         assert expected.value.args[0].startswith(f"{path}:{bad + 1}: ")
-        word = lines[bad].split()[0]
+        word = _decoded(lines[bad]).split()[0]
         used = any(word in t for batch in tokens for t in batch)
-        if used and provider.lines[word][0] == bad + 1:  # the bad line is its word's first
+        if used and provider.lines[word] == bad + 1:  # the bad line is its word's first
             with pytest.raises(ProviderError) as got:
                 for batch in batches:
                     provider.embed(batch)
