@@ -11,6 +11,7 @@ retired from assignment and the census.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from collections import deque
@@ -54,17 +55,18 @@ class Cluster:
     While the cluster is active its centroid is a row of the state's centroid
     array, the one place it is stored; ``cen`` reads a copy of that row. A
     retired cluster keeps only its history, its id, size and first and last
-    times seen: retiring frees its centroid, so ``cen`` reads None, and empties
-    its reservoir.
+    times seen: retiring frees its centroid, so ``cen`` reads None, and its
+    reservoir, which reads None too.
     """
 
-    def __init__(self, id: int, len: int, created_at: datetime, last_updated: datetime, cap: int):
+    def __init__(self, id: int, len: int, created_at: datetime, last_updated: datetime,
+                 reservoir: deque | None):
         self.id = id
         self.len = len
         self.created_at = created_at
         self.last_updated = last_updated
-        # (record id, scrubbed text, vector), the most recent ``cap`` members, oldest first.
-        self.reservoir: deque[tuple[str, str, np.ndarray]] = deque(maxlen=cap)
+        # (record id, scrubbed text, vector), the newest ``reservoir_cap`` members, oldest first.
+        self.reservoir: deque[tuple[str, str, np.ndarray]] | None = reservoir
         self._state: ClusterState | None = None
         self._row: int | None = None  # row in the state's centroid array while active
 
@@ -91,7 +93,7 @@ class ClusterState:
 
     Cluster ids are dense: ``clusters[i].id == i``. The active centroids are
     the first ``len(self._rows)`` rows of one array, in id order, with their
-    norms cached, so the nearest active cluster is one matrix-vector product
+    inverse norms cached, so the nearest active cluster is one matrix-vector product
     and, among equally near rows, the first is the oldest id. The array
     doubles its capacity when it fills; expiry compacts it.
     """
@@ -103,7 +105,7 @@ class ClusterState:
         self.clusters: list[Cluster] = []
         self._rows: list[Cluster] = []  # active clusters, row order = id order
         self._cen = np.empty((0, 0))
-        self._norm = np.empty(0)
+        self._inv = np.empty(0)  # 1 / |centroid| per row, NaN for a zero centroid
         # The last batch's rule, {id: Representative} and {id: size}.
         self._last: tuple[Callable | None, dict, dict] = (None, {}, {})
         # What the run that fills the state records of the embedding its
@@ -128,16 +130,16 @@ class ClusterState:
     def _attach(self, cluster: Cluster, cen: np.ndarray) -> None:
         """Append the row of a cluster newer than every active one."""
         n = len(self._rows)
-        if n == len(self._norm) or (n == 0 and self._cen.shape[1] != cen.shape[0]):
+        if n == len(self._inv) or (n == 0 and self._cen.shape[1] != cen.shape[0]):
             capacity = max(2 * n, self._INITIAL_CAPACITY)
-            grown, norms = np.empty((capacity, cen.shape[0])), np.empty(capacity)
+            grown, inv = np.empty((capacity, cen.shape[0])), np.empty(capacity)
             if n:
-                grown[:n], norms[:n] = self._cen[:n], self._norm[:n]
-            self._cen, self._norm = grown, norms
+                grown[:n], inv[:n] = self._cen[:n], self._inv[:n]
+            self._cen, self._inv = grown, inv
         self._rows.append(cluster)
         cluster._state, cluster._row = self, n
         self._cen[n] = cen
-        self._norm[n] = np.linalg.norm(self._cen[n])
+        self._inv[n] = _inverse_norm(self._cen[n])
 
     def _detach(self, retired: list[Cluster]) -> None:
         """Drop retired clusters' rows, compacting the array, and free their reservoirs."""
@@ -145,12 +147,11 @@ class ClusterState:
         keep = np.ones(n, dtype=bool)
         for c in retired:
             keep[c._row] = False
-            c._state, c._row = None, None
-            c.reservoir.clear()
+            c._state, c._row, c.reservoir = None, None, None
         self._rows = [c for c in self._rows if c._row is not None]
         m = len(self._rows)
         self._cen[:m] = self._cen[:n][keep]
-        self._norm[:m] = self._norm[:n][keep]
+        self._inv[:m] = self._inv[:n][keep]
         for row, c in enumerate(self._rows):
             c._row = row
 
@@ -158,18 +159,18 @@ class ClusterState:
         """Nearest active cluster by cosine distance; oldest id wins ties.
         (None, inf) when no active cluster has a defined distance."""
         n = len(self._rows)
-        if n == 0:
+        p_norm = math.sqrt(p @ p)
+        if n == 0 or p_norm == 0.0:
             return None, np.inf
-        p_norm = np.linalg.norm(p)
-        with np.errstate(invalid="ignore"):  # a zero centroid gives 0/0
-            dist = 1.0 - (self._cen[:n] @ p) / (self._norm[:n] * p_norm)
-        best = np.fmin.reduce(dist)  # skips the NaN; NaN when every row is
+        sim = (self._cen[:n] @ p) * self._inv[:n]  # cosine times |p|; NaN for a zero row
+        best = np.fmax.reduce(sim)  # skips the NaN; NaN when every row is
         # The matrix product may round equal rows differently, so the rows
-        # within a hair of the minimum are scored again one by one, in id
+        # within a hair of the maximum are scored again one by one, in id
         # order, exactly as a plain loop over the clusters would.
         best_id, best_dist = None, np.inf
-        for row in np.flatnonzero(dist <= best + _TIE_SLACK).tolist():
-            d = 1.0 - float(np.dot(self._cen[row], p) / (self._norm[row] * p_norm))
+        for row in np.flatnonzero(sim >= best - _TIE_SLACK * p_norm).tolist():
+            c = self._cen[row]
+            d = 1.0 - float(np.dot(c, p) / (math.sqrt(c @ c) * p_norm))
             if d < best_dist:
                 best_id, best_dist = self._rows[row].id, d
         return best_id, best_dist
@@ -188,14 +189,14 @@ class ClusterState:
             else:
                 row *= c.len / (c.len + 1)
                 row += (1.0 / (c.len + 1)) * p
-            self._norm[c._row] = np.linalg.norm(row)
+            self._inv[c._row] = _inverse_norm(row)
             c.len += 1
             c.last_updated = record.timestamp
             c.reservoir.append((record.id, record.scrubbed_text, p))
             return AssignmentOutcome(cid, False, dist)
 
-        c = Cluster(self.next_id, 1, record.timestamp, record.timestamp, params.reservoir_cap)
-        c.reservoir.append((record.id, record.scrubbed_text, p))
+        member = deque([(record.id, record.scrubbed_text, p)], maxlen=params.reservoir_cap)
+        c = Cluster(self.next_id, 1, record.timestamp, record.timestamp, member)
         self.clusters.append(c)
         self._attach(c, p)
         return AssignmentOutcome(c.id, True, dist)
@@ -252,7 +253,11 @@ class ClusterState:
     def to_snapshot(self) -> dict:
         """Params, embedding, next id and one row per cluster. An active row carries
         the centroid and the reservoir; a retired row only the cluster's history."""
-        return {**self._snapshot_head(), "clusters": [_snapshot_row(c) for c in self.clusters]}
+        rows = [_snapshot_row(c) for c in self.clusters]
+        for c, row in zip(self.clusters, rows):
+            if c.active:
+                row["reservoir_vectors"] = list(_member_vectors(c))
+        return {**self._snapshot_head(), "clusters": rows}
 
     def _snapshot_head(self) -> dict:
         """The snapshot's keys before ``clusters``, which comes last."""
@@ -314,7 +319,7 @@ class ClusterState:
                     raise ValueError("centroid is not a list of numbers")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"snapshot cluster {cid}: {exc}") from exc
-            cluster = Cluster(cid, n, created_at, last_updated, cap)
+            cluster = Cluster(cid, n, created_at, last_updated, None)
             state.clusters.append(cluster)
             if cen is not None:
                 if state._rows and len(cen) != state._cen.shape[1]:
@@ -336,7 +341,7 @@ class ClusterState:
                         f"{min(n, cap)} reservoir ids, each a string with a string text and a "
                         f"finite vector of its centroid's dimension; it has {len(ids)} ids"
                     )
-                cluster.reservoir.extend(zip(ids, texts, vectors))
+                cluster.reservoir = deque(zip(ids, texts, vectors), maxlen=cap)
                 state._attach(cluster, cen)
         if doc["next_id"] != len(state.clusters):
             raise ValueError(
@@ -347,7 +352,8 @@ class ClusterState:
 
     def save(self, path: str | Path) -> None:
         """Write ``json.dumps(self.to_snapshot(), separators=(",", ":"))``, one
-        cluster row at a time, so no more than one row is encoded at once.
+        cluster row at a time and an active row's reservoir vectors one member
+        at a time, so no more than one member's vector is encoded at once.
 
         The rows go to a temporary file beside ``path``, which replaces it only
         when complete: a save that fails leaves the previous snapshot whole.
@@ -361,7 +367,14 @@ class ClusterState:
                 fh.write(encode({**self._snapshot_head(), "clusters": []})[:-2])  # cut "]}"
                 for i, c in enumerate(self.clusters):
                     fh.write("," if i else "")
-                    fh.write(encode(_snapshot_row(c)))
+                    row = encode(_snapshot_row(c))
+                    if not c.active:
+                        fh.write(row)
+                        continue
+                    fh.write(row[:-2])  # cut the empty reservoir_vectors' "]}"
+                    for j, vector in enumerate(_member_vectors(c)):
+                        fh.write(("," if j else "") + encode(vector))
+                    fh.write("]}")
                 fh.write("]}")
             os.replace(tmp, path)
         except BaseException:
@@ -378,7 +391,16 @@ class ClusterState:
         return cls.from_snapshot(doc)
 
 
+def _inverse_norm(row: np.ndarray) -> float:
+    """1 / |row|, with |row| in np.linalg.norm's own arithmetic; NaN for a zero
+    row, to which no distance is defined."""
+    norm = math.sqrt(row @ row)
+    return 1.0 / norm if norm else math.nan
+
+
 def _snapshot_row(c: Cluster) -> dict:
+    """A cluster's snapshot row, with an active row's last key,
+    ``reservoir_vectors``, left empty: ``_member_vectors`` gives its members."""
     row = {
         "id": c.id,
         "len": c.len,
@@ -391,6 +413,11 @@ def _snapshot_row(c: Cluster) -> dict:
             cen=c.cen.tolist(),
             reservoir_ids=[rid for rid, _, _ in c.reservoir],
             reservoir_texts=[text for _, text, _ in c.reservoir],
-            reservoir_vectors=np.array([vec for *_, vec in c.reservoir], dtype=float).tolist(),
+            reservoir_vectors=[],
         )
     return row
+
+
+def _member_vectors(c: Cluster):
+    """Each reservoir member's vector as a list of floats, oldest first."""
+    return (np.asarray(vec, dtype=float).tolist() for *_, vec in c.reservoir)

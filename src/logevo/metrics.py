@@ -16,7 +16,7 @@ _SILHOUETTE_BLOCK = 1024  # rows of the n x k product held at once
 @dataclass
 class BatchReport:
     """One batch's result: the clusterer fills in all but the silhouette, which
-    scoring adds."""
+    scoring adds when the batch closes and drops the points."""
 
     index: int
     points: list[tuple[np.ndarray, int]]  # (vector, cluster id) ingested this batch
@@ -46,7 +46,9 @@ def silhouette_batch(points: list[tuple[np.ndarray, int]]) -> float | None:
     With unit rows x_i and S_L the sum of cluster L's members, the mean
     distance from x_i to another cluster L' is 1 - x_i.S_L'/|L'| and to the
     rest of its own cluster L it is (|L| - x_i.S_L)/(|L| - 1), so the work is
-    one n x k product instead of an n x n distance matrix.
+    one n x k product instead of an n x n distance matrix. The unit rows are
+    built one block at a time, twice: once for the sums, in row order, and
+    once for the scores, so no n x d array is held.
     """
     n = len(points)
     if n < 2:
@@ -58,18 +60,24 @@ def silhouette_batch(points: list[tuple[np.ndarray, int]]) -> float | None:
     k = len(column)
     if k < 2:
         return None
-    X = np.array([v for v, _ in points], dtype=float)
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, labels, X)
+
+    def unit_rows(lo: int) -> np.ndarray:
+        X = np.array([v for v, _ in points[lo:lo + _SILHOUETTE_BLOCK]], dtype=float)
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        return X
+
+    starts = range(0, n, _SILHOUETTE_BLOCK)
+    sums = np.zeros((k, len(points[0][0])))
+    for lo in starts:
+        np.add.at(sums, labels[lo:lo + _SILHOUETTE_BLOCK], unit_rows(lo))
     counts = np.bincount(labels, minlength=k).astype(float)
     own_count = counts[labels]
     scores = np.zeros(n)
-    for lo in range(0, n, _SILHOUETTE_BLOCK):
+    for lo in starts:
         rows = slice(lo, lo + _SILHOUETTE_BLOCK)
         own, size = labels[rows], own_count[rows]
         at = np.arange(len(own))
-        dots = X[rows] @ sums.T  # block x k
+        dots = unit_rows(lo) @ sums.T  # block x k
         mean_dist = 1.0 - dots / counts
         mean_dist[at, own] = np.inf
         b = mean_dist.min(axis=1)
@@ -116,16 +124,18 @@ def _c_term(prev: int, cur: int) -> float:
     return 1.0 if prev == cur == 0 else 1.0 - abs(cur - prev) / max(cur, prev)
 
 
+def terms_of(cur: BatchReport, prev: BatchReport | None) -> BatchTerms:
+    """A batch's terms, given the batch before it (None for the first)."""
+    return BatchTerms(
+        _s_term(cur.silhouette_raw),
+        None if prev is None else _r_term(prev.reps, cur.reps),
+        None if prev is None else _c_term(prev.nr_clust, cur.nr_clust),
+    )
+
+
 def batch_terms(batches: list[BatchReport]) -> list[BatchTerms]:
     """The per-batch term series: what metrics.csv writes and S, R, C average."""
-    return [
-        BatchTerms(
-            _s_term(cur.silhouette_raw),
-            None if prev is None else _r_term(prev.reps, cur.reps),
-            None if prev is None else _c_term(prev.nr_clust, cur.nr_clust),
-        )
-        for prev, cur in zip([None, *batches], batches)
-    ]
+    return [terms_of(cur, prev) for prev, cur in zip([None, *batches], batches)]
 
 
 def _mean_S(terms: list[float | None]) -> float:

@@ -6,7 +6,10 @@ import csv
 import functools
 import hashlib
 import json
+import shutil
+import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta
 from importlib import resources
@@ -28,10 +31,10 @@ from .metrics import (
     BatchReport,
     BatchTerms,
     EvolutionScore,
-    batch_terms,
     score_LCE,
     score_series,
     silhouette_batch,
+    terms_of,
 )
 from .records import (
     Batch,
@@ -327,10 +330,10 @@ def prepare(config: RunConfig, state: ClusterState | None = None) -> Prepared:
     return Prepared(batches, vectors_by_batch, skipped, timings, embedding)
 
 
-def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
+def _gmm_process(config: RunConfig, prep: Prepared) -> Iterator[BatchReport]:
+    """Each batch's report, made as the batch is fitted."""
     K, seed = config.gmm.get("K", 11), config.gmm.get("seed", 0)
     params, reps = None, {}
-    reports = []
     for batch, vecs in zip(prep.batches, prep.vectors_by_batch):
         labels = []  # an empty batch fits nothing
         if len(vecs):
@@ -352,56 +355,77 @@ def _gmm_process(config: RunConfig, prep: Prepared) -> list[BatchReport]:
         }
         sizes = {k: len(members[k]) for k in reps}
         points = list(zip(vecs, labels))
-        reports.append(BatchReport(batch.index, points, len(reps), reps, sizes=sizes))
-    return reports
+        yield BatchReport(batch.index, points, len(reps), reps, sizes=sizes)
 
 
 def _online_process(
     config: RunConfig, prep: Prepared, state: ClusterState
-) -> list[BatchReport]:
+) -> Iterator[BatchReport]:
+    """Each batch's report, made as the batch is clustered."""
     # None picks the reservoir member nearest the centroid
     pick = representative_by_levenshtein if config.representative == "LEVENSHTEIN" else None
-    return [
+    return (
         state.process_batch(batch, vecs, pick)
         for batch, vecs in zip(prep.batches, prep.vectors_by_batch)
-    ]
+    )
+
+
+def close_batch(report: BatchReport, prev: BatchReport | None) -> BatchTerms:
+    """Score a batch as it closes: fill in its silhouette, drop its points,
+    which nothing later reads, and return its terms against ``prev``, the
+    batch before it. All that a later batch reads of it is its ``reps`` and
+    ``nr_clust``."""
+    report.silhouette_raw = silhouette_batch(report.points)
+    report.points = []
+    return terms_of(report, prev)
 
 
 def compute_scores(
-    reports: list[BatchReport], weights: tuple[float, float, float]
+    reports: Iterable[BatchReport], weights: tuple[float, float, float]
 ) -> tuple[EvolutionScore, list[BatchTerms]]:
-    """The score of a run and each batch's terms; fills in each report's silhouette."""
-    for r in reports:
-        r.silhouette_raw = silhouette_batch(r.points)
-    terms = batch_terms(reports)
+    """The score of a run and each batch's terms. Each report is closed in
+    turn (``close_batch``), so only the one before it is held."""
+    terms, prev = [], None
+    for report in reports:
+        terms.append(close_batch(report, prev))
+        prev = report
     return score_series(terms, weights), terms
+
+
+def _write_clusters(fh, report: BatchReport, tails: dict) -> dict:
+    """A batch's clusters.jsonl lines: one per active cluster, keys sorted.
+    ``tails`` maps the previous batch's cluster ids to their representative and
+    its encoding without the "{"; a cluster that did not grow keeps its
+    Representative, so its "representative" and "score" are not encoded again.
+    Returns this batch's map."""
+    mine = {}
+    for cid, rep in sorted(report.reps.items()):
+        last_rep, tail = tails.get(cid, (None, None))
+        if last_rep is not rep:
+            tail = json.dumps({"representative": rep.text, "score": rep.score})[1:]
+        mine[cid] = (rep, tail)
+        fh.write(f'{{"batch_index": {report.index}, "id": {cid}, '
+                 f'"len": {report.sizes[cid]}, {tail}\n')
+    return mine
 
 
 def _write_outputs(
     out_dir: Path,
     config: RunConfig,
     prep: Prepared,
-    reports: list[BatchReport],
+    rows: list[dict],
     terms: list[BatchTerms],
     score: EvolutionScore,
     state: ClusterState | None,
+    clusters,
     timings: dict[str, float],
 ) -> dict:
+    """Check report.json, then write every output; ``clusters`` holds the
+    clusters.jsonl lines, written as each batch closed."""
     report_doc = {
         "config": asdict(config),
         "parse": {"records": sum(len(b.records) for b in prep.batches), "skipped": prep.skipped},
-        "batches": [
-            {
-                "index": b.index,
-                "start": b.start.isoformat(),
-                "end": b.end.isoformat(),
-                "n_records": len(b.records),
-                "nr_clust": r.nr_clust,
-                "silhouette_raw": r.silhouette_raw,
-                "expired": r.expired,
-            }
-            for b, r in zip(prep.batches, reports)
-        ],
+        "batches": rows,
         "score": {**asdict(score), "weights": list(score.weights)},
         "levenshtein_window": LEVENSHTEIN_CAP if config.representative == "LEVENSHTEIN" else None,
         "timings": timings,
@@ -418,30 +442,19 @@ def _write_outputs(
         writer.writerow(
             ["batch_index", "nr_clust", "silhouette_raw", "S_term", "R_term", "C_term"]
         )
-        for r, t in zip(reports, terms):
-            numbers = ("" if v is None else f"{v:.9f}" for v in (r.silhouette_raw, t.S, t.R, t.C))
-            writer.writerow([r.index, r.nr_clust, *numbers])
+        for row, t in zip(rows, terms):
+            numbers = (
+                "" if v is None else f"{v:.9f}" for v in (row["silhouette_raw"], t.S, t.R, t.C)
+            )
+            writer.writerow([row["index"], row["nr_clust"], *numbers])
 
-    # clusters.jsonl: one line per active cluster per batch, keys sorted. A
-    # cluster that did not grow keeps its Representative, so each one's
-    # "representative" and "score" are encoded once.
-    tails: dict[int, str] = {}  # id(representative) -> its encoding without the "{"
+    clusters.seek(0)
     with (out_dir / "clusters.jsonl").open("w") as fh:
-        for report in reports:
-            for cid, rep in sorted(report.reps.items()):
-                tail = tails.get(id(rep))
-                if tail is None:
-                    tail = tails[id(rep)] = json.dumps(
-                        {"representative": rep.text, "score": rep.score}
-                    )[1:]
-                fh.write(
-                    f'{{"batch_index": {report.index}, "id": {cid}, '
-                    f'"len": {report.sizes[cid]}, {tail}\n'
-                )
+        shutil.copyfileobj(clusters, fh)
 
     if state is not None:
         state.save(out_dir / "state.json")
-    timings["write_s"] = time.perf_counter() - t0  # carried by report.json, written last
+    timings["write_s"] += time.perf_counter() - t0  # carried by report.json, written last
 
     (out_dir / "report.json").write_text(
         json.dumps(report_doc, indent=1, sort_keys=True), encoding="utf-8"
@@ -452,14 +465,17 @@ def _write_outputs(
 def run(config: RunConfig, state: ClusterState | None = None) -> dict:
     """Execute the full pipeline and write reports; returns the report document.
 
-    A preloaded ``state`` resumes a previous online-clustering run, whose
-    params the config must repeat.
+    Each batch is clustered, scored and its clusters.jsonl lines written as it
+    closes; the lines wait in an anonymous temporary file until report.json
+    passes its check, so a run that fails writes nothing. A preloaded
+    ``state`` resumes a previous online-clustering run, whose params the
+    config must repeat.
     """
     config = check_config(asdict(config))
     prep = prepare(config, state)
-    timings = dict(prep.timings)
+    # Each stage's seconds, summed over the batches.
+    timings = {**prep.timings, "cluster_s": 0.0, "metrics_s": 0.0, "write_s": 0.0}
 
-    t0 = time.perf_counter()
     if config.algorithm == "GMM":
         reports = _gmm_process(config, prep)
     else:
@@ -467,15 +483,39 @@ def run(config: RunConfig, state: ClusterState | None = None) -> dict:
             state = ClusterState(config.resolved_params())
         state.embedding = prep.embedding
         reports = _online_process(config, prep, state)
-    timings["cluster_s"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    score, terms = compute_scores(reports, tuple(config.weights))
-    timings["metrics_s"] = time.perf_counter() - t0
+    clock = time.perf_counter
+    rows, terms, prev, tails = [], [], None, {}
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as clusters:
+        for batch in prep.batches:
+            t0 = clock()
+            report = next(reports)
+            t1 = clock()
+            terms.append(close_batch(report, prev))
+            t2 = clock()
+            tails = _write_clusters(clusters, report, tails)
+            t3 = clock()
+            timings["cluster_s"] += t1 - t0
+            timings["metrics_s"] += t2 - t1
+            timings["write_s"] += t3 - t2
+            rows.append({
+                "index": batch.index,
+                "start": batch.start.isoformat(),
+                "end": batch.end.isoformat(),
+                "n_records": len(batch.records),
+                "nr_clust": report.nr_clust,
+                "silhouette_raw": report.silhouette_raw,
+                "expired": report.expired,
+            })
+            prev = report
 
-    return _write_outputs(
-        Path(config.output_dir), config, prep, reports, terms, score, state, timings
-    )
+        t0 = clock()
+        score = score_series(terms, tuple(config.weights))
+        timings["metrics_s"] += clock() - t0
+
+        return _write_outputs(
+            Path(config.output_dir), config, prep, rows, terms, score, state, clusters, timings
+        )
 
 
 def _check_resume(config: RunConfig, state: ClusterState, dim: int, embedding: dict) -> None:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -396,11 +397,11 @@ def test_clusters_jsonl_is_each_row_dumped_with_sorted_keys(
     config_path.write_text(json.dumps({"input": str(input_path), "format": "jsonl",
                                        "params": {"theta": 0.3}, "gmm": {"K": 4},
                                        "output_dir": str(tmp_path / "out")}))
-    seen, compute_scores = [], pipeline.compute_scores
-    monkeypatch.setattr(pipeline, "compute_scores",
-                        lambda reports, weights: seen.append(reports) or compute_scores(reports, weights))
+    # Each batch's report, as the run closes it.
+    reports, close_batch = [], pipeline.close_batch
+    monkeypatch.setattr(pipeline, "close_batch",
+                        lambda report, prev: reports.append(report) or close_batch(report, prev))
     assert main(["run", "--config", str(config_path), *flags]) == 0
-    [reports] = seen
     rows = [
         {"batch_index": r.index, "id": cid, "len": r.sizes[cid],
          "representative": rep.text, "score": rep.score}
@@ -597,6 +598,28 @@ def test_a_window_too_short_for_the_stream_is_one_line_and_writes_nothing(tmp_pa
         "2017-05-03T05:00:00+00:00 into 110417 batches, more than the 100000 a run allows\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_a_run_that_fails_at_scoring_after_every_batch_closed_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    # At theta 2 every event joins one cluster, so no batch has a silhouette:
+    # the score fails after the last batch has closed and its lines are written.
+    write_ci_events(tmp_path / "events.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"input": "events.jsonl", "format": "jsonl", "params": {"theta": 2.0}}
+    ))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.chdir(tmp_path)
+    closed, close_batch = [], pipeline.close_batch
+    monkeypatch.setattr(pipeline, "close_batch",
+                        lambda report, prev: closed.append(report.index) or close_batch(report, prev))
+    assert main(["run", "--config", "config.json"]) == 1
+    assert capsys.readouterr().err == "METRIC: no batch has a defined silhouette\n"
+    assert closed == [0, 1, 2]
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "events.jsonl", "tmp"]
+    assert os.listdir(tmp_path / "tmp") == []
 
 
 @pytest.mark.parametrize(

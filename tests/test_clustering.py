@@ -382,6 +382,22 @@ class TestExpiry:
             state.ingest_point(record(f"d{day}", ts=now), np.array([1.0, 0.0]))
         assert state.get(0).active
 
+    def test_retiring_frees_the_reservoirs(self):
+        vectors = unit_vectors(np.random.default_rng(33), 2000, 16)
+        tracemalloc.start()  # before the clusters, so that freeing them shows
+        try:
+            state = ClusterState(HyperParams(theta=0.0))  # each point opens a cluster
+            for i, p in enumerate(vectors):
+                state.ingest_point(record(f"p{i}", f"member {i}"), p)
+            before = tracemalloc.get_traced_memory()[0]
+            state.expire_stale(T0 + timedelta(days=31))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not state.active_clusters()
+        assert all(c.reservoir is None for c in state.clusters)
+        assert after < before, (before, after)
+
 
 class TestInvariants:
     def test_len_sum_and_monotone_ids(self):
@@ -786,6 +802,36 @@ class TestPersistence:
         whole = peak(lambda: json.dumps(state.to_snapshot()))
         streamed = peak(lambda: state.save(tmp_path / "state.json"))
         assert streamed < whole / 2, (streamed, whole)
+
+    def test_save_encodes_one_reservoir_member_at_a_time(self, tmp_path):
+        # One full reservoir of 512 x 64 floats: encoded whole, the floats and
+        # their text would take over 4 MB.
+        rng = np.random.default_rng(17)
+        state = ClusterState(HyperParams(theta=2.0))
+        for i, p in enumerate(unit_vectors(rng, 512, 64)):
+            state.ingest_point(record(f"p{i}", f"member {i}"), p)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            state.save(tmp_path / "state.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live < 0.5 * 2**20, (peak, live)
+
+    def test_a_loaded_retired_row_holds_no_reservoir(self):
+        rows = [{"id": i, "len": 1, "created_at": T0.isoformat(),
+                 "last_updated": T0.isoformat(), "active": False} for i in range(2000)]
+        doc = {**ClusterState().to_snapshot(), "clusters": rows, "next_id": len(rows)}
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            state = ClusterState.from_snapshot(doc)
+            size = tracemalloc.get_traced_memory()[0] - live
+        finally:
+            tracemalloc.stop()
+        assert all(c.reservoir is None for c in state.clusters)
+        assert size / len(rows) < 500, size / len(rows)
 
     def test_a_failed_save_leaves_the_previous_snapshot(self, tmp_path, monkeypatch):
         state = mixed_state(("text",))

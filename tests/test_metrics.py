@@ -120,6 +120,19 @@ class TestSilhouette:
         assert value is not None
         assert peak < 50 * 2**20, peak
 
+    def test_holds_a_block_of_unit_rows_not_the_batch(self):
+        # The batch's vectors as one 20,000 x 64 array would take 10 MB.
+        rng = np.random.default_rng(24)
+        n, d = 20_000, 64
+        points = list(zip(unit_vectors(rng, n, d), rng.integers(0, 10, size=n).tolist()))
+        tracemalloc.start()
+        try:
+            silhouette_batch(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
 
 class TestScoreS:
     def test_zero_raws(self):
