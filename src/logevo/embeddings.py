@@ -2,7 +2,8 @@
 
 Neural models are never run in-process. Pretrained word vectors and
 sentence embeddings arrive as files; the hashing provider is a hermetic,
-deterministic substitute for tests and smoke runs.
+deterministic substitute for tests and smoke runs. A line of a word-vectors
+file ends at "\\n", and a header's dimension must be that of the first word.
 
 Every provider turns a batch of n sequences into one (n, d) array of unit
 rows, so cosine similarity downstream is a dot product. A provider's
@@ -16,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -54,12 +54,12 @@ class WordAveragingProvider(_Provider):
     """Averages per-token word vectors; out-of-vocabulary tokens are skipped.
 
     ``lines`` maps each word to the number of its first line in ``path``, and
-    ``offsets[n - 1]`` is the byte offset of line n's physical line (its bytes
-    up to a "\\n" or a lone "\\r"), with the file's size last; the lines that
-    "\\f", "\\x85" or "\\u2028" split one physical line into share its offset.
-    A word's line is read back, parsed and checked on its first use, and the
-    vector is kept, so a run holds the values of only the words its records
-    use. The file must not change while the provider is used.
+    ``offsets[n - 1]`` is the byte offset of line n, with the file's size
+    last: a line ends at "\\n" and nowhere else, and the header, if any, gave
+    the first word's dimension. A word's line is read back, parsed and checked
+    on its first use, and the vector is kept, so a run holds the values of
+    only the words its records use. The file must not change while the
+    provider is used.
     """
 
     def __init__(self, path: Path, lines: dict[str, int], offsets: Sequence[int], dim: int):
@@ -68,12 +68,6 @@ class WordAveragingProvider(_Provider):
         self.offsets = offsets
         self.dim = dim
         self._vectors: dict[str, np.ndarray] = {}
-
-    def lookup(self, word: str) -> np.ndarray | None:
-        """The vector of ``word``, or None for a word not in the file."""
-        if word not in self._vectors and word in self.lines:
-            self._read([word])
-        return self._vectors.get(word)
 
     def _read(self, words: list[str]) -> None:
         """Read, check and keep the vector of each word, in order, with one open."""
@@ -86,19 +80,9 @@ class WordAveragingProvider(_Provider):
 
     def _parse(self, fd: int, word: str, lineno: int) -> np.ndarray:
         """The checked vector on line ``lineno``, which must still start with ``word``."""
-        offsets = self.offsets
-        first = last = lineno - 1  # the physical line's first and last line, from 0
-        start = offsets[first]
-        while first and offsets[first - 1] == start:
-            first -= 1
-        while offsets[last + 1] == start:
-            last += 1
-        size = offsets[last + 1] - start
-        data = os.pread(fd, size, start)
-        physical = _lines_of(data)
-        fields = []
-        if len(data) == size and len(physical) == last - first + 1:
-            fields = physical[lineno - 1 - first].split()
+        start, end = self.offsets[lineno - 1], self.offsets[lineno]
+        data = os.pread(fd, end - start, start)
+        fields = data.decode("utf-8", errors="replace").split() if len(data) == end - start else []
         if not fields or fields[0] != word:
             raise ProviderError(f"{self.path}:{lineno}: the file changed since it was indexed")
         values = fields[1:]
@@ -136,50 +120,31 @@ class WordAveragingProvider(_Provider):
         return rows
 
 
-# A lone "\r" ends a physical line too, as in open()'s text mode. Neither "\r"
-# nor "\n" is a byte of a longer UTF-8 character, so each physical line decodes
-# on its own as it would in the whole file.
-_CR_LINES = re.compile(rb"[^\r]*\r\n?|[^\r]+")
-
-
-def _lines_of(raw: bytes) -> list[str]:
-    """The lines of one physical line, decoded as they are in the whole file."""
-    return raw.decode("utf-8", errors="replace").splitlines()
-
-
-def _text_lines(fh):
-    """(byte offset of its physical line, line) of each line of a binary file."""
-    offset = 0
-    for chunk in fh:  # the bytes up to a "\n"
-        # Most chunks hold no "\r" but that of a "\r\n" end, and need no split; a
-        # "\r" the test lets through ("x\ry" at the end) still ends a line, as "\f" does.
-        for raw in _CR_LINES.findall(chunk) if b"\r" in chunk[:-2] else (chunk,):
-            for line in _lines_of(raw):
-                yield offset, line
-            offset += len(raw)
-
-
 def load_word_vectors(path: str | Path) -> WordAveragingProvider:
     """Index a word2vec-text-format file (optional "<count> <dim>" header).
 
     One pass over the file keeps each word's first line number and each
     line's byte offset, not its text; a repeated word keeps its first line,
-    unchecked beyond that. Each physical line is decoded on its own, and
-    lines end where str.splitlines ends them: at "\\r", "\\f", "\\x85" or
-    "\\u2028" too. Here only the file, the header and the first word's
-    dimension are checked: the provider checks a word's line when the word
-    is first used.
+    unchecked beyond that. A line ends at "\\n", and is decoded on its own;
+    a "\\r" before the "\\n", and a "\\f", "\\x85", "\\u2028" or lone "\\r"
+    within the line, is whitespace between its fields. Here only the file,
+    the header and the first word's line are checked: a header's dimension
+    must be that of the first word. The provider checks a word's line when
+    the word is first used.
     """
     from array import array  # here, not at the top: runs with another provider skip its 0.1 MB
 
     path = Path(path)
     lines: dict[str, int] = {}
     offsets = array("q")
+    offset = 0
     dim: int | None = None
     try:
         with path.open("rb") as fh:
-            for lineno, (offset, line) in enumerate(_text_lines(fh), start=1):
+            for lineno, raw in enumerate(fh, start=1):  # the bytes up to a "\n"
                 offsets.append(offset)
+                offset += len(raw)
+                line = raw.decode("utf-8", errors="replace")
                 if lineno == 1:
                     head = line.split()
                     # int() reads each such part; "--3" or "²" (a digit, not a decimal) is a word.
@@ -193,14 +158,17 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
                 parts = line.split(None, 1)
                 if not parts:
                     continue
-                word, values = parts[0], parts[1] if len(parts) == 2 else ""
-                if dim is None:
-                    dim = len(values.split())
-                    if not dim:
+                word = parts[0]
+                if not lines:  # the first word gives the dimension, or must agree with the header
+                    got = len(line.split()) - 1
+                    if dim is None and not got:
                         raise ProviderError(f"{path}:{lineno}: the word {word!r} has no vector")
+                    if dim is not None and got != dim:
+                        raise ProviderError(f"{path}:{lineno}: expected {dim} floats, got {got}")
+                    dim = got
                 if word not in lines:
                     lines[word] = lineno
-            offsets.append(fh.tell())
+            offsets.append(offset)
     except OSError as exc:
         raise ProviderError(f"cannot read word vectors from {path}: {exc}") from exc
     if not lines:

@@ -125,17 +125,13 @@ def _c_term(prev: int, cur: int) -> float:
 
 
 def terms_of(cur: BatchReport, prev: BatchReport | None) -> BatchTerms:
-    """A batch's terms, given the batch before it (None for the first)."""
+    """A batch's terms, given the batch before it (None for the first): what
+    metrics.csv writes and S, R, C average."""
     return BatchTerms(
         _s_term(cur.silhouette_raw),
         None if prev is None else _r_term(prev.reps, cur.reps),
         None if prev is None else _c_term(prev.nr_clust, cur.nr_clust),
     )
-
-
-def batch_terms(batches: list[BatchReport]) -> list[BatchTerms]:
-    """The per-batch term series: what metrics.csv writes and S, R, C average."""
-    return [terms_of(cur, prev) for prev, cur in zip([None, *batches], batches)]
 
 
 def _mean_S(terms: list[float | None]) -> float:

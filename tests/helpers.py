@@ -160,18 +160,19 @@ def plan_batches_reference(records, plan):
 
 def load_word_vectors_reference(path):
     """(vocab, dim) of a word2vec-text file, every line parsed and checked as it
-    is read; a repeated word, checked all the same, keeps its first vector."""
-    lines = Path(path).read_text(encoding="utf-8", errors="replace").splitlines()
+    is read; a repeated word, checked all the same, keeps its first vector. A
+    line ends at "\\n" only, so the file is read as bytes: read_text would end
+    a line at a lone "\\r" too."""
+    lines = Path(path).read_bytes().decode("utf-8", errors="replace").split("\n")
     vocab = {}
     dim = None
     start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
-            dim = int(head[1])
-            start = 1
-            if dim < 1:
-                raise ProviderError(f"{path}:1: the header gives dimension {dim}, not at least 1")
+    head = lines[0].split()
+    if len(head) == 2 and all(p.removeprefix("-").isdecimal() for p in head):
+        dim = int(head[1])
+        start = 1
+        if dim < 1:
+            raise ProviderError(f"{path}:1: the header gives dimension {dim}, not at least 1")
     with np.errstate(over="ignore"):
         for lineno, line in enumerate(lines[start:], start=start + 1):
             if not line.strip():

@@ -1,5 +1,6 @@
 """Embedding providers."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,14 @@ from helpers import load_word_vectors_reference
 
 def seq(*tokens, source_id="r0"):
     return TokenSeq(tuple(tokens), source_id)
+
+
+def _reads(monkeypatch):
+    """The bytes each os.pread returns from here on, in order."""
+    reads = []
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, at: reads.append(pread(fd, n, at)) or reads[-1])
+    return reads
 
 
 class TestWordAveraging:
@@ -53,6 +62,15 @@ class TestWordAveraging:
         provider = load_word_vectors(path)
         assert provider.dim == 3
         assert len(provider.lines) == 2
+
+    @pytest.mark.parametrize("dim", [3, 10**20])
+    def test_a_header_that_disagrees_with_the_first_word_stops_the_load(self, tmp_path, dim):
+        # Unchecked, a header's dimension reached np.zeros even when no record used
+        # a word: 10**20 floats ended in a ValueError traceback.
+        path = tmp_path / "vec.txt"
+        path.write_text(f"1 {dim}\n\ndisk 1 0\n")
+        with pytest.raises(ProviderError, match=rf"^{path}:3: expected {dim} floats, got 2$"):
+            load_word_vectors(path)
 
     @pytest.mark.parametrize("first", ["2 --3", "2 \u00b2"])
     def test_a_first_line_that_is_not_two_integers_is_a_word(self, tmp_path, first):
@@ -104,13 +122,26 @@ class TestWordAveraging:
         with pytest.raises(ProviderError, match=r"vec\.txt:2: "):
             load_word_vectors(path).embed([seq("b"), seq("c")])
 
-    def test_a_word_is_parsed_once(self, tmp_path):
+    def test_a_word_is_parsed_once(self, tmp_path, monkeypatch):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\nb 0 1\n")
         provider = load_word_vectors(path)
-        provider.embed([seq("a", "zz")])
-        assert provider.lookup("a") is provider.lookup("a")
-        assert provider.lookup("zz") is None
+        reads = _reads(monkeypatch)
+        provider.embed([seq("a", "zz"), seq("a")])
+        provider.embed([seq("zz", "a")])
+        assert reads == [b"a 1 0\n"]
+
+    def test_a_new_word_reads_its_own_line_and_no_more(self, tmp_path, monkeypatch):
+        # The rarer line ends of str.splitlines are whitespace within a line.
+        data = "2 2\na\x0c1 0\r\nb 0\r1\nc 1\x85 1\n d\u20281 1\r\n".encode()
+        path = tmp_path / "vec.txt"
+        path.write_bytes(data)
+        provider = load_word_vectors(path)
+        reads = _reads(monkeypatch)
+        rows = provider.embed([seq("d", "b", "zz"), seq("b", "a", "c")])
+        own = data.split(b"\n")
+        assert reads == [own[k] + b"\n" for k in (4, 2, 1, 3)]  # in the order of first use
+        np.testing.assert_allclose(rows, [np.array([1, 2]) / 5**0.5, [0.5**0.5] * 2])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProviderError, match="nope.txt"):
@@ -128,7 +159,7 @@ class TestWordAveraging:
                 provider.embed([seq("a", "b")])
         path.unlink()
         with pytest.raises(ProviderError, match=rf"^cannot read word vectors from {path}: "):
-            provider.lookup("b")
+            provider.embed([seq("b")])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1e200"])
     def test_non_finite_value_names_line(self, tmp_path, value):
@@ -147,7 +178,7 @@ class TestWordAveraging:
         np.testing.assert_allclose(provider.vector(seq("a")), [1.0, 0.0])
 
     def test_large_file_matches_reparse(self, tmp_path):
-        # Independent oracle: re-read the file line by line and compare lookups.
+        # Independent oracle: re-read the file line by line and compare vectors.
         rng = np.random.default_rng(42)
         dim, n_words = 300, 10_000
         words = [f"w{i}" for i in range(n_words)]
@@ -164,23 +195,30 @@ class TestWordAveraging:
             for lineno, line in enumerate(fh):
                 parts = line.split()
                 expected = np.array([float(v) for v in parts[1:]])
-                np.testing.assert_array_equal(provider.lookup(parts[0]), expected)
+                np.testing.assert_array_equal(provider._rows([seq(parts[0])])[0], expected)
                 if lineno > 500:  # spot-check the head, full-file is slow
                     break
         # and a random sample from the tail
         for i in rng.integers(0, n_words, size=200):
-            np.testing.assert_allclose(provider.lookup(words[i]), matrix[i], atol=5e-7)
+            np.testing.assert_allclose(provider._rows([seq(words[i])])[0], matrix[i], atol=5e-7)
 
-    def test_a_lone_cr_ends_a_physical_line_and_a_form_feed_does_not(self, tmp_path):
-        # A word on a shared physical line is read back with the whole line;
-        # one physical line per "\r" keeps a file with only "\r" ends cheap.
+    def test_a_line_ends_at_newline_and_a_lone_cr_is_whitespace(self, tmp_path):
         path = tmp_path / "vec.txt"
-        path.write_bytes(b"a 1 0\rb 0 1\r\nc 1 1\x0cd 2 2\n")
-        provider = load_word_vectors(path)
-        assert list(provider.offsets) == [0, 6, 13, 13, 25]
-        assert provider.lines == {"a": 1, "b": 2, "c": 3, "d": 4}
-        np.testing.assert_array_equal([provider.lookup(w) for w in "dcba"],
-                                      [[2, 2], [1, 1], [0, 1], [1, 0]])
+        batch = [seq("a"), seq("b", "c"), seq("c", "zz")]
+        rows = []
+        for end in ("\n", "\r\n"):
+            path.write_bytes(end.join(["2 2", "a 1 0", "b 0 1", "c -1 3", ""]).encode())
+            rows.append(load_word_vectors(path).embed(batch))
+        np.testing.assert_array_equal(rows[0], rows[1])
+        for inner in ("\x0c", "\x85", "\u2028", "\r"):
+            data = f"x 1 0\na 1 0{inner}b 0 1\n".encode()
+            path.write_bytes(data)
+            provider = load_word_vectors(path)
+            assert provider.lines == {"x": 1, "a": 2}
+            assert list(provider.offsets) == [0, 6, len(data)]
+            with pytest.raises(ProviderError, match=rf"^{path}:2: expected 2 floats, got 5$"):
+                provider.embed([seq("a")])
+            np.testing.assert_array_equal(provider.embed([seq("b")]), [[1.0, 0.0]])
 
     def test_a_zero_has_the_sign_np_mean_gives_it(self, tmp_path):
         # A sum of -0.0 values is -0.0 or 0.0 by where it starts; state.json writes the sign.
@@ -389,11 +427,12 @@ def test_mixed_batch_falls_back_to_e0_and_matches_one_at_a_time(tmp_path, kind):
             + "up " + " ".join(["1"] * 64) + "\ndown " + " ".join(["-1"] * 64) + "\n"
         )
         provider = load_word_vectors(path)
+        vocab, _ = load_word_vectors_reference(path)
         tokens = [(), ("oov", "zz"), ("up", "down"), ("w0", "oov"), ("w1", "w2", "w3", "w1")]
         fallback = [True, True, True, False, False]
 
         def raw(s):
-            hits = [v for v in map(provider.lookup, s.tokens) if v is not None]
+            hits = [vocab[t] for t in s.tokens if t in vocab]
             return np.mean(hits, axis=0) if hits else np.zeros(64)
     else:
         rng = np.random.default_rng(4)
@@ -476,11 +515,14 @@ def _decoded(text):
 
 @st.composite
 def _vectors_file(draw):
-    """(lines, line ends, index of the one bad line or None) of a small word2vec-text file."""
+    """The bytes of a small word2vec-text file, often with a bad line."""
     dim = draw(st.integers(1, 3))
-    space = st.sampled_from([" ", "\t", "  ", " \t"])
+    # Each rarer line end of str.splitlines is whitespace within a line.
+    space = st.sampled_from([" ", "\t", "  ", " \t", "\r", "\x0c", "\x85", "\u2028"])
     value = st.floats(-1e6, 1e6, allow_nan=False).map(repr) | st.sampled_from(["0", "-2", "1e-3"])
-    lines = [f"{draw(st.integers(0, 9))} {dim}"] if draw(st.booleans()) else []
+    lines = []
+    if draw(st.booleans()):  # a header, whose dimension is most often the first word's
+        lines.append(f"{draw(st.integers(0, 9))} {draw(st.sampled_from([dim] * 4 + [0, 4]))}")
     first_word = None
     for _ in range(draw(st.integers(1, 8))):
         if draw(st.integers(0, 4)) == 0:
@@ -489,24 +531,14 @@ def _vectors_file(draw):
         lead = draw(st.sampled_from(["", " ", "\t"]))
         values = "".join(draw(space) + draw(value) for _ in range(dim))
         lines.append(lead + draw(st.sampled_from(_WORDS)) + values)
-    bad = None
     if draw(st.booleans()):  # after the first word's line, which sets the dimension
         values = _SPOIL[draw(st.sampled_from(sorted(_SPOIL)))]([draw(value) for _ in range(dim)])
         bad = draw(st.integers(first_word + 1, len(lines)))
         lines.insert(bad, " ".join([draw(st.sampled_from(_WORDS))] + values))
-    # str.splitlines ends a line at each of these, as in the reference. A
-    # physical line runs to a "\n" or a lone "\r"; the other three end a line in it.
-    end = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"])
-    ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
-    for k in range(len(lines) - 1):  # "\r" and a blank line's "\n" would make one "\r\n"
-        if ends[k] == "\r" and lines[k + 1] + ends[k + 1] == "\n":
-            ends[k] = "\r\n"
-    return lines, ends, bad
-
-
-def _write(path, lines, ends):
-    text = "".join(line + end for line, end in zip(lines, ends))
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    # Only "\n" ends a line: any other of these joins the line to the next one.
+    end = st.sampled_from(["\n", "\r\n"] * 3 + ["\r", "\x0c", "\x85", "\u2028"])
+    text = "".join(line + draw(end) for line in lines)
+    return text.encode("utf-8", "surrogateescape")
 
 
 def _reference_rows(vocab, dim, batch):
@@ -527,27 +559,43 @@ _BATCHES = st.lists(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=4), max
 @settings(max_examples=max(300, settings().max_examples), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_vectors_file(), _BATCHES)
-def test_lazy_loader_agrees_with_the_eager_reference(tmp_path, file, tokens):
-    lines, ends, bad = file
+def test_lazy_loader_agrees_with_the_eager_reference(tmp_path, data, tokens):
     path = tmp_path / "vec.txt"
-    _write(path, lines, ends)
+    path.write_bytes(data)
     batches = [[seq(*t) for t in batch] for batch in tokens]
-    provider = load_word_vectors(path)
-    if bad is not None:
+    try:
+        provider = load_word_vectors(path)
+    except ProviderError as got:
+        # The load checks the header and the first word's line, which the reference checks first.
         with pytest.raises(ProviderError) as expected:
             load_word_vectors_reference(path)
-        assert expected.value.args[0].startswith(f"{path}:{bad + 1}: ")
-        word = _decoded(lines[bad]).split()[0]
-        used = any(word in t for batch in tokens for t in batch)
-        if used and provider.lines[word] == bad + 1:  # the bad line is its word's first
-            with pytest.raises(ProviderError) as got:
-                for batch in batches:
-                    provider.embed(batch)
-            assert got.value.args[0] == expected.value.args[0]
-            return
-        # Only an unused line is bad: the rows are those of the file without it.
-        path = tmp_path / "clean.txt"
-        _write(path, lines[:bad] + lines[bad + 1:], ends[:bad] + ends[bad + 1:])
-    vocab, dim = load_word_vectors_reference(path)
-    for batch in batches:
-        np.testing.assert_array_equal(provider.embed(batch), _reference_rows(vocab, dim, batch))
+        assert got.args[0] == expected.value.args[0]
+        return
+    # The reference stops at the first bad line: note its error and put a good
+    # line of the same word in its place, until the reference reads the file.
+    lines, bad = data.split(b"\n"), {}
+    clean = tmp_path / "clean.txt"
+    while True:
+        clean.write_bytes(b"\n".join(lines))
+        try:
+            vocab, dim = load_word_vectors_reference(clean)
+            break
+        except ProviderError as exc:
+            where, _, detail = exc.args[0].partition(": ")
+            lineno = int(where.rpartition(":")[2])
+            bad[lineno] = f"{path}:{lineno}: {detail}"
+            word = lines[lineno - 1].decode("utf-8", errors="replace").split()[0]
+            lines[lineno - 1] = (word + " 0" * provider.dim).encode()
+    assert (provider.dim, provider.lines.keys()) == (dim, vocab.keys())
+    # A bad line fails the run only if it is the first line of a used word; of
+    # two such, the one of the word used first.
+    used = dict.fromkeys(t for batch in tokens for words in batch for t in words)
+    expected = next((bad[provider.lines[w]] for w in used
+                     if provider.lines.get(w) in bad), None)
+    try:
+        for batch in batches:
+            np.testing.assert_array_equal(provider.embed(batch), _reference_rows(vocab, dim, batch))
+    except ProviderError as got:
+        assert got.args[0] == expected
+    else:
+        assert expected is None

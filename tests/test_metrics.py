@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from logevo.errors import AllUndefined, NoSharedClusters, WeightError
 from logevo.metrics import (
     BatchMetricInput,
-    batch_terms,
     score_C,
     score_LCE,
     score_R,
     score_S,
     score_series,
     silhouette_batch,
+    terms_of,
 )
 from logevo.representatives import Representative
 
@@ -196,7 +196,7 @@ class TestBatchTerms:
         b0 = batch_input(0, reps={1: rep(1, (1, 0))}, sil=0.5, nr_clust=2)
         b1 = batch_input(1, reps={1: rep(1, (0, 1))}, sil=None, nr_clust=4)
         b2 = batch_input(2, reps={2: rep(2, (1, 0))}, sil=-0.5, nr_clust=4)
-        terms = batch_terms([b0, b1, b2])
+        terms = [terms_of(cur, prev) for prev, cur in zip([None, b0, b1], [b0, b1, b2])]
         assert [(t.S, t.R, t.C) for t in terms] == [
             (0.75, None, None),
             (None, 0.0, 0.5),
@@ -209,7 +209,7 @@ class TestBatchTerms:
         assert score.C == score_C([2, 4, 4])
 
     def test_single_batch_has_no_pair_terms(self):
-        terms = batch_terms([batch_input(0, sil=0.0, nr_clust=3)])
+        terms = [terms_of(batch_input(0, sil=0.0, nr_clust=3), None)]
         assert [(t.S, t.R, t.C) for t in terms] == [(0.5, None, None)]
         with pytest.raises(NoSharedClusters):
             score_series(terms, (1 / 3, 1 / 3, 1 / 3))
