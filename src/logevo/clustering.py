@@ -28,6 +28,9 @@ from .representatives import Representative, representative_by_centroid
 
 # Distances this close to the minimum are re-scored one by one (nearest_cluster).
 _TIE_SLACK = 1e-9
+# ClusterState.save stops learning float texts once it holds this many, which
+# bounds its memory when values do not repeat.
+_SAVE_TEXTS = 2048
 
 
 @dataclass(frozen=True)
@@ -168,9 +171,9 @@ class ClusterState:
         # within a hair of the maximum are scored again one by one, in id
         # order, exactly as a plain loop over the clusters would.
         best_id, best_dist = None, np.inf
-        for row in np.flatnonzero(sim >= best - _TIE_SLACK * p_norm).tolist():
+        for row in (sim >= best - _TIE_SLACK * p_norm).nonzero()[0].tolist():
             c = self._cen[row]
-            d = 1.0 - float(np.dot(c, p) / (math.sqrt(c @ c) * p_norm))
+            d = 1.0 - float(c @ p) / (math.sqrt(c @ c) * p_norm)
             if d < best_dist:
                 best_id, best_dist = self._rows[row].id, d
         return best_id, best_dist
@@ -183,12 +186,10 @@ class ClusterState:
         if cid is not None and dist <= params.theta:
             c = self.clusters[cid]
             row = self._cen[c._row]
-            if c.len >= params.gamma:
-                row *= 1.0 - params.alpha
-                row += params.alpha * p
-            else:
-                row *= c.len / (c.len + 1)
-                row += (1.0 / (c.len + 1)) * p
+            keep, add = ((1.0 - params.alpha, params.alpha) if c.len >= params.gamma
+                         else (c.len / (c.len + 1), 1.0 / (c.len + 1)))
+            row *= keep
+            row += add * p
             self._inv[c._row] = _inverse_norm(row)
             c.len += 1
             c.last_updated = record.timestamp
@@ -256,7 +257,7 @@ class ClusterState:
         rows = [_snapshot_row(c) for c in self.clusters]
         for c, row in zip(self.clusters, rows):
             if c.active:
-                row["reservoir_vectors"] = list(_member_vectors(c))
+                row["reservoir_vectors"] = [v.tolist() for v in _member_vectors(c)]
         return {**self._snapshot_head(), "clusters": rows}
 
     def _snapshot_head(self) -> dict:
@@ -355,11 +356,33 @@ class ClusterState:
         cluster row at a time and an active row's reservoir vectors one member
         at a time, so no more than one member's vector is encoded at once.
 
+        Each distinct value's text is computed once per save. The encoder's
+        output for a member teaches a table each of its values' text, until
+        the table holds ``_SAVE_TEXTS`` values; a member whose values the table
+        all holds is written from it, so the bytes are unchanged. Hashing
+        rows, ±k/|r|, take few distinct values.
+
         The rows go to a temporary file beside ``path``, which replaces it only
         when complete: a save that fails leaves the previous snapshot whole.
         """
         # Compact: with ``indent`` the json module falls back to its pure-Python encoder.
         encode = json.JSONEncoder(separators=(",", ":")).encode
+        # A float's 64-bit pattern -> its text; not the float, since 0.0 == -0.0.
+        texts: dict[int, str] = {}
+
+        def member_text(vector: np.ndarray) -> str:
+            bits = memoryview(vector).cast("B").cast("q")  # ints made as they are read
+            # Where values do not repeat, the first misses: a lookup is cheaper than a KeyError.
+            if not bits or bits[0] in texts:
+                try:
+                    return "[" + ",".join(map(texts.__getitem__, bits)) + "]"
+                except KeyError:
+                    pass
+            text = encode(vector.tolist())
+            if len(texts) < _SAVE_TEXTS:
+                texts.update(zip(bits, text[1:-1].split(",")))
+            return text
+
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         try:
@@ -373,7 +396,7 @@ class ClusterState:
                         continue
                     fh.write(row[:-2])  # cut the empty reservoir_vectors' "]}"
                     for j, vector in enumerate(_member_vectors(c)):
-                        fh.write(("," if j else "") + encode(vector))
+                        fh.write(("," if j else "") + member_text(vector))
                     fh.write("]}")
                 fh.write("]}")
             os.replace(tmp, path)
@@ -419,5 +442,5 @@ def _snapshot_row(c: Cluster) -> dict:
 
 
 def _member_vectors(c: Cluster):
-    """Each reservoir member's vector as a list of floats, oldest first."""
-    return (np.asarray(vec, dtype=float).tolist() for *_, vec in c.reservoir)
+    """Each reservoir member's vector as a contiguous float array, oldest first."""
+    return (np.ascontiguousarray(vec, dtype=float) for *_, vec in c.reservoir)

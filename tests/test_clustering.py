@@ -14,8 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from logevo import clustering
 from logevo.clustering import ClusterState, HyperParams
+from logevo.embeddings import HashingProvider
 from logevo.records import Batch, BatchPlan, plan_batches
 from logevo.representatives import representative_by_centroid, representative_by_levenshtein
+from logevo.textnorm import TokenSeq
 
 from helpers import T0, record, replay_online, unit_vectors
 
@@ -49,6 +51,27 @@ def mixed_state(texts):
         state.ingest_point(record(f"p{i}", text, ts=T0 + timedelta(days=i // 10)), p)
     assert state.expire_stale(T0 + timedelta(days=3, hours=12))
     assert state.active_clusters()
+    return state
+
+
+def repeated_values_state():
+    """One cluster whose reservoir repeats hashing rows, holds two members that
+    differ only in the sign of a zero, values whose text has an exponent or is
+    subnormal, and more distinct values than one save learns the text of."""
+    hashing = HashingProvider(16).embed(
+        [TokenSeq(("disk", "full", f"v{i % 3}"), f"r{i}") for i in range(6)])
+    zero = int(np.flatnonzero(hashing[0] == 0.0)[0])
+    negative_zero = hashing[0].copy()
+    negative_zero[zero] = -0.0
+    odd = hashing[1].copy()
+    odd[:4] = [1e-05, 5e-324, 1.5e+16, -2.5e-310]
+    distinct = unit_vectors(np.random.default_rng(18), 3 * clustering._SAVE_TEXTS // 16, 16)
+    members = [*hashing, hashing[0], negative_zero, odd, *distinct, *hashing, negative_zero,
+               *unit_vectors(np.random.default_rng(19), 2, 16)]
+    state = ClusterState(HyperParams(theta=2.0, reservoir_cap=len(members)))
+    for i, p in enumerate(members):
+        state.ingest_point(record(f"p{i}"), p)
+    assert len(state.active_clusters()) == 1
     return state
 
 
@@ -770,11 +793,13 @@ class TestPersistence:
             ClusterState.load(path)
 
     @pytest.mark.parametrize(
-        "texts", [None, ("text",), ("défaut ☃", "磁盘 full 𝄞", "plain")],
-        ids=["no_clusters", "active_and_retired", "non_ascii"],
+        "make_state",
+        [ClusterState, lambda: mixed_state(("text",)),
+         lambda: mixed_state(("défaut ☃", "磁盘 full 𝄞", "plain")), repeated_values_state],
+        ids=["no_clusters", "active_and_retired", "non_ascii", "repeated_values"],
     )
-    def test_save_writes_the_compact_encoding_of_the_snapshot(self, tmp_path, texts):
-        state = ClusterState(HyperParams()) if texts is None else mixed_state(texts)
+    def test_save_writes_the_compact_encoding_of_the_snapshot(self, tmp_path, make_state):
+        state = make_state()
         state.save(tmp_path / "state.json")
         expected = json.dumps(state.to_snapshot(), separators=(",", ":"))
         assert (tmp_path / "state.json").read_bytes() == expected.encode("utf-8")
@@ -818,6 +843,28 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert peak - live < 0.5 * 2**20, (peak, live)
+
+    def test_save_encodes_each_distinct_member_once(self, tmp_path, monkeypatch):
+        # 512 members share one hashing row: the encoder is handed its values
+        # once, and the other members are written from the text it gave.
+        row = HashingProvider(64).embed([TokenSeq(("disk", "full", "on", "dn7"), "r0")])[0]
+        state = ClusterState(HyperParams())
+        for i in range(512):
+            state.ingest_point(record(f"p{i}"), row)
+        assert len(state.get(0).reservoir) == 512
+        expected = json.dumps(state.to_snapshot(), separators=(",", ":"))
+        member_lists = []
+
+        class CountingEncoder(json.JSONEncoder):
+            def encode(self, o):
+                if isinstance(o, list):
+                    member_lists.append(o)
+                return super().encode(o)
+
+        monkeypatch.setattr(clustering.json, "JSONEncoder", CountingEncoder)
+        state.save(tmp_path / "state.json")
+        assert len(member_lists) <= 2, len(member_lists)
+        assert (tmp_path / "state.json").read_text(encoding="utf-8") == expected
 
     def test_a_loaded_retired_row_holds_no_reservoir(self):
         rows = [{"id": i, "len": 1, "created_at": T0.isoformat(),
