@@ -258,9 +258,3 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
     if dim is None:
         raise ProviderError(f"{path}: no vectors found")
     return PrecomputedProvider(table, dim)
-
-
-def write_precomputed(path: str | Path, table: dict[str, np.ndarray]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rid, vec in table.items():
-            fh.write(json.dumps({"id": rid, "vector": list(map(float, vec))}) + "\n")

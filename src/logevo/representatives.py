@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ def representative_by_centroid(cluster) -> Representative:
     cluster are stable.
     """
     cen = cluster.cen
-    norm = np.linalg.norm(cen)
+    norm = math.sqrt(cen @ cen)  # np.linalg.norm's arithmetic, as clustering._inverse_norm
     u = cen / norm if norm else cen  # zero for a zero centroid: every member scores 0
     # Row by row: a matrix product may round identical members differently.
     scores = (np.array([vec for _, _, vec in cluster.reservoir]) * u).sum(axis=1)

@@ -383,3 +383,10 @@ def write_jsonl(path, records):
             row = {"id": r.id, "timestamp": r.timestamp.isoformat(), "level": "ERROR",
                    "text": r.raw_text}
             fh.write(json.dumps(row) + "\n")
+
+
+def write_precomputed(path, table):
+    """``table``, id to vector, as a precomputed-vectors file, one JSON row each."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for rid, vec in table.items():
+            fh.write(json.dumps({"id": rid, "vector": list(map(float, vec))}) + "\n")

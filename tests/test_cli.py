@@ -21,13 +21,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from logevo import pipeline
 from logevo.cli import main
 from logevo.clustering import ClusterState
-from logevo.embeddings import write_precomputed
 from logevo.errors import ConfigError, LogevoError
 from logevo.pipeline import RunConfig, run, sweep
 from logevo.representatives import LEVENSHTEIN_CAP
 
 from helpers import (
     T0, make_evolution_jsonl, make_loghub_sample, record, schema_oracle, write_jsonl,
+    write_precomputed,
 )
 
 
@@ -54,8 +54,8 @@ def test_run_happy_path(workspace, capsys):
     tmp_path, config_path, _ = workspace
     assert main(["run", "--config", str(config_path)]) == 0
     out_dir = tmp_path / "out"
-    for name in ("report.json", "metrics.csv", "clusters.jsonl", "state.json"):
-        assert (out_dir / name).exists(), name
+    # The four outputs and nothing else: no state.json.tmp is left behind.
+    assert sorted(os.listdir(out_dir)) == ["clusters.jsonl", "metrics.csv", "report.json", "state.json"]
     report = json.loads((out_dir / "report.json").read_text())
     for key in ("S", "R", "C", "lce"):
         assert 0.0 <= report["score"][key] <= 1.0
@@ -193,11 +193,10 @@ def test_a_bad_vector_line_is_reported_when_its_word_is_used(tmp_path, capsys, v
     input_path = tmp_path / "events.jsonl"
     write_jsonl(input_path, make_evolution_jsonl(days=2, per_kind=3))
     config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps({
-        "input": str(input_path), "format": "jsonl",
-        "provider": {"kind": "word_vectors", "path": str(path)},
-        "output_dir": str(tmp_path / "out"),
-    }))
+    config = {"input": str(input_path), "format": "jsonl",
+              "provider": {"kind": "word_vectors", "path": str(path)},
+              "output_dir": str(tmp_path / "out")}
+    config_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(config_path)]) == (1 if err else 0)
     out = capsys.readouterr().err
     if err:
@@ -205,6 +204,12 @@ def test_a_bad_vector_line_is_reported_when_its_word_is_used(tmp_path, capsys, v
         assert not (tmp_path / "out").exists()
     else:
         assert out == "" and (tmp_path / "out" / "report.json").exists()
+        # A "\r" before a "\n" is whitespace: the file with "\r\n" line ends writes the same.
+        path.write_bytes(vectors.replace("\n", "\r\n").encode())
+        config_path.write_text(json.dumps(dict(config, output_dir=str(tmp_path / "crlf"))))
+        assert main(["run", "--config", str(config_path)]) == 0
+        for name in ("metrics.csv", "clusters.jsonl"):
+            assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 def test_provider_load_time_counts_as_embedding(tmp_path, monkeypatch):
@@ -413,26 +418,33 @@ def test_clusters_jsonl_is_each_row_dumped_with_sorted_keys(
 
 
 # Each family sends five records a day. The quadratic edit-distance medoid gets a
-# reservoir of six, so one member from before the cut is still in it after the cut.
+# reservoir of six, so one member from before a cut is still in it after the cut.
 @pytest.mark.parametrize("representative, reservoir_cap", [("CENTROID", 512), ("LEVENSHTEIN", 6)])
 def test_resumed_run_writes_what_an_uninterrupted_run_writes(tmp_path, representative, reservoir_cap):
+    # The run is cut at days 3 and 6, so the third part resumes a resume.
     records = make_evolution_jsonl(days=10, per_kind=4, seed=5)
-    cut = T0 + timedelta(days=5)
-    parts = {"whole": records, "first": [r for r in records if r.timestamp < cut],
-             "second": [r for r in records if r.timestamp >= cut]}
-    for name, part in parts.items():
+
+    def run_part(name, part, state):
         write_jsonl(tmp_path / f"{name}.jsonl", part)
-        state = ClusterState.load(tmp_path / "first" / "state.json") if name == "second" else None
         run(RunConfig(input=str(tmp_path / f"{name}.jsonl"), format="jsonl",
                       params={"theta": 0.3, "reservoir_cap": reservoir_cap},
                       representative=representative, output_dir=str(tmp_path / name)), state)
-    whole = [row for row in clusters_lines(tmp_path / "whole") if row["batch_index"] >= 5]
-    resumed = [dict(row, batch_index=row["batch_index"] + 5)
-               for row in clusters_lines(tmp_path / "second")]
+        assert sorted(os.listdir(tmp_path / name)) == [
+            "clusters.jsonl", "metrics.csv", "report.json", "state.json"]
+        return clusters_lines(tmp_path / name)
+
+    whole = run_part("whole", records, None)
+    resumed, state = [], None
+    for k, (start, end) in enumerate(itertools.pairwise([0, 3, 6, 10])):
+        part = [r for r in records if start <= (r.timestamp - T0).days < end]
+        resumed += [dict(row, batch_index=row["batch_index"] + start)
+                    for row in run_part(f"part{k}", part, state)]
+        state = ClusterState.load(tmp_path / f"part{k}" / "state.json")
     assert resumed == whole
     assert all(row["representative"] for row in whole)
-    assert (tmp_path / "second" / "state.json").read_text() == (
-        tmp_path / "whole" / "state.json").read_text()
+    written = (tmp_path / "part2" / "state.json").read_bytes()
+    assert written == (tmp_path / "whole" / "state.json").read_bytes()
+    assert written == json.dumps(state.to_snapshot(), separators=(",", ":")).encode("utf-8")
 
 
 @pytest.mark.parametrize(
@@ -1127,6 +1139,8 @@ class TestSweep:
             main(["sweep", "--config", str(config_path), "--grid", str(grid_path)]) == 0
         )
         assert "sweep: 2 cells" in capsys.readouterr().out
+        # A header, then one row a cell.
+        assert len((tmp_dir / "out" / "sweep.csv").read_text().splitlines()) == 3
 
     def test_a_failing_cell_is_a_failed_row(self, tmp_path, capsys):
         # At theta 1.5 the three families share one cluster, so no batch has a silhouette.

@@ -13,12 +13,11 @@ from logevo.embeddings import (
     PrecomputedProvider,
     load_precomputed,
     load_word_vectors,
-    write_precomputed,
 )
 from logevo.errors import MissingEmbedding, ProviderError
 from logevo.textnorm import TokenSeq
 
-from helpers import load_word_vectors_reference
+from helpers import load_word_vectors_reference, write_precomputed
 
 
 def seq(*tokens, source_id="r0"):
