@@ -2,8 +2,8 @@
 
 Neural models are never run in-process. Pretrained word vectors and
 sentence embeddings arrive as files; the hashing provider is a hermetic,
-deterministic substitute for tests and smoke runs. A line of a word-vectors
-file ends at "\\n", and a header's dimension must be that of the first word.
+deterministic substitute for tests and smoke runs. A line of either file
+ends at "\\n", and a header's dimension must be that of the first word.
 
 Every provider turns a batch of n sequences into one (n, d) array of unit
 rows, so cosine similarity downstream is a dot product. A provider's
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -62,11 +61,13 @@ class WordAveragingProvider(_Provider):
     provider is used.
     """
 
-    def __init__(self, path: Path, lines: dict[str, int], offsets: Sequence[int], dim: int):
+    def __init__(self, path: Path, lines: dict[str, int], offsets: Sequence[int], dim: int,
+                 sha256: str):
         self.path = path
         self.lines = lines
         self.offsets = offsets
         self.dim = dim
+        self.sha256 = sha256  # of the bytes indexed
         self._vectors: dict[str, np.ndarray] = {}
 
     def _read(self, words: list[str]) -> None:
@@ -74,14 +75,15 @@ class WordAveragingProvider(_Provider):
         try:
             with open(self.path, "rb", buffering=0) as fh:
                 for word in words:
-                    self._vectors[word] = self._parse(fh.fileno(), word, self.lines[word])
+                    self._vectors[word] = self._parse(fh, word, self.lines[word])
         except OSError as exc:
             raise ProviderError(f"cannot read word vectors from {self.path}: {exc}") from exc
 
-    def _parse(self, fd: int, word: str, lineno: int) -> np.ndarray:
-        """The checked vector on line ``lineno``, which must still start with ``word``."""
+    def _parse(self, fh, word: str, lineno: int) -> np.ndarray:
+        """The checked vector on line ``lineno`` of ``fh``, which must still start with ``word``."""
         start, end = self.offsets[lineno - 1], self.offsets[lineno]
-        data = os.pread(fd, end - start, start)
+        fh.seek(start)
+        data = fh.read(end - start)
         fields = data.decode("utf-8", errors="replace").split() if len(data) == end - start else []
         if not fields or fields[0] != word:
             raise ProviderError(f"{self.path}:{lineno}: the file changed since it was indexed")
@@ -124,8 +126,8 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
     """Index a word2vec-text-format file (optional "<count> <dim>" header).
 
     One pass over the file keeps each word's first line number and each
-    line's byte offset, not its text; a repeated word keeps its first line,
-    unchecked beyond that. A line ends at "\\n", and is decoded on its own;
+    line's byte offset, not its text, and hashes its bytes; a repeated word
+    keeps its first line, unchecked beyond that. A line ends at "\\n", and is decoded on its own;
     a "\\r" before the "\\n", and a "\\f", "\\x85", "\\u2028" or lone "\\r"
     within the line, is whitespace between its fields. Here only the file,
     the header and the first word's line are checked: a header's dimension
@@ -139,9 +141,11 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
     offsets = array("q")
     offset = 0
     dim: int | None = None
+    digest = hashlib.sha256()
     try:
         with path.open("rb") as fh:
             for lineno, raw in enumerate(fh, start=1):  # the bytes up to a "\n"
+                digest.update(raw)
                 offsets.append(offset)
                 offset += len(raw)
                 line = raw.decode("utf-8", errors="replace")
@@ -173,7 +177,7 @@ def load_word_vectors(path: str | Path) -> WordAveragingProvider:
         raise ProviderError(f"cannot read word vectors from {path}: {exc}") from exc
     if not lines:
         raise ProviderError(f"{path}: no word vectors found")
-    return WordAveragingProvider(path, lines, offsets, dim)
+    return WordAveragingProvider(path, lines, offsets, dim, digest.hexdigest())
 
 
 class HashingProvider(_Provider):
@@ -212,9 +216,10 @@ class HashingProvider(_Provider):
 class PrecomputedProvider(_Provider):
     """Looks vectors up by record id; the route for offline sentence embeddings."""
 
-    def __init__(self, table: dict[str, np.ndarray], dim: int):
+    def __init__(self, table: dict[str, np.ndarray], dim: int, sha256: str):
         self.table = table
         self.dim = dim
+        self.sha256 = sha256  # of the file read
 
     def _rows(self, seqs: Sequence[TokenSeq]) -> np.ndarray:
         rows = np.empty((len(seqs), self.dim))
@@ -227,13 +232,16 @@ class PrecomputedProvider(_Provider):
 
 
 def load_precomputed(path: str | Path) -> PrecomputedProvider:
-    """Load a JSONL file of {"id": ..., "vector": [...]} entries."""
+    """Load a JSONL file of {"id": ..., "vector": [...]} lines and hash its bytes, in one pass."""
     path = Path(path)
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
+    digest = hashlib.sha256()
     try:
-        with path.open(encoding="utf-8", errors="replace") as fh, np.errstate(over="ignore"):
-            for lineno, line in enumerate(fh, start=1):
+        with path.open("rb") as fh, np.errstate(over="ignore"):
+            for lineno, raw in enumerate(fh, start=1):
+                digest.update(raw)
+                line = raw.decode("utf-8", errors="replace")
                 if not line.strip():
                     continue
                 try:
@@ -257,4 +265,4 @@ def load_precomputed(path: str | Path) -> PrecomputedProvider:
         raise ProviderError(f"cannot read precomputed vectors from {path}: {exc}") from exc
     if dim is None:
         raise ProviderError(f"{path}: no vectors found")
-    return PrecomputedProvider(table, dim)
+    return PrecomputedProvider(table, dim, digest.hexdigest())

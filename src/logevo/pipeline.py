@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
 import shutil
 import tempfile
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta
 from importlib import resources
@@ -51,7 +50,7 @@ from .representatives import (
     representative_by_centroid,
     representative_by_levenshtein,
 )
-from .textnorm import load_stopwords, normalize, stopwords_file
+from .textnorm import load_stopwords, normalize, read_stopwords
 
 _BATCH_SHORTHAND = {
     "1d": BatchPlan.fixed(timedelta(days=1)),
@@ -135,7 +134,8 @@ def _lookup(table: dict, name: str, what: str):
 @functools.cache
 def _schema(name: str):
     """data/<name>.schema.json, read once per process."""
-    return json.loads(resources.files("logevo.data").joinpath(f"{name}.schema.json").read_text())
+    data = resources.files("logevo.data").joinpath(f"{name}.schema.json")
+    return json.loads(data.read_text(encoding="utf-8"))
 
 
 # An integer is an int, not 2.0; neither it nor a number is a bool; a tuple is an array.
@@ -256,39 +256,31 @@ def ingest(config: RunConfig) -> tuple[list[LogRecord], int]:
     return [r for r in records if r.level in wanted], skipped
 
 
-def embed_records(config: RunConfig, records: list[LogRecord], provider) -> np.ndarray:
-    """One unit row per record, in order."""
-    stopwords = load_stopwords(config.stopwords_path)
+def embed_records(config: RunConfig, records: Sequence[LogRecord], provider, stopwords=None):
+    """One unit row per record, in order; ``stopwords`` default to the config's list."""
+    stopwords = load_stopwords(config.stopwords_path) if stopwords is None else stopwords
     table: dict[str, str | None] = {}  # each raw token's kept token, for this batch only
     return provider.embed(
         [normalize(r.scrubbed_text, r.id, stopwords, table) for r in records]
     )
 
 
-def _sha256(source) -> str:
-    """SHA-256 of a file, read 1 MiB at a time."""
-    digest = hashlib.sha256()
-    with source.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # Where a file was read from; a resume compares what it held, by its SHA-256.
 _WHERE = ("path", "stopwords")
 
 
-def _embedding_record(config: RunConfig, provider) -> dict:
+def _embedding_record(config: RunConfig, provider, stopwords_hash: str) -> dict:
     """What a snapshot records of the embedding its centroids live in: the
     provider's kind with its ``d`` and ``seed``, or its file's path and SHA-256,
-    then the stopword file's path (None for the packaged list) and SHA-256."""
+    then the stopword file's path (None for the packaged list) and SHA-256,
+    each hash as its loader took it."""
     spec = config.provider
     if spec["kind"] == "hashing":
         found = {"d": provider.dim, "seed": provider.seed}
     else:
-        found = {"path": spec["path"], "sha256": _sha256(Path(spec["path"]))}
+        found = {"path": spec["path"], "sha256": provider.sha256}
     return {"kind": spec["kind"], **found, "stopwords": config.stopwords_path,
-            "stopwords_sha256": _sha256(stopwords_file(config.stopwords_path))}
+            "stopwords_sha256": stopwords_hash}
 
 
 @dataclass(frozen=True)
@@ -305,13 +297,13 @@ class Prepared:
 
 def prepare(config: RunConfig, state: ClusterState | None = None) -> Prepared:
     """Ingest, plan batches and embed: the stages that `run` and `sweep` share.
-    The provider and the stopwords load first and the embedding is recorded,
-    all booked to embedding time; a resumed ``state`` is checked against them
-    before any input is read."""
+    The provider and the stopwords load first, each file read once, and the
+    embedding is recorded, all booked to embedding time; a resumed ``state`` is
+    checked against them before any input is read."""
     t0 = time.perf_counter()
     provider = config.resolved_provider()
-    load_stopwords(config.stopwords_path)  # cached for embed_records
-    embedding = _embedding_record(config, provider)
+    stopwords, stopwords_hash = read_stopwords(config.stopwords_path)
+    embedding = _embedding_record(config, provider, stopwords_hash)
     load_s = time.perf_counter() - t0
     if state is not None:
         _check_resume(config, state, provider.dim, embedding)
@@ -324,7 +316,7 @@ def prepare(config: RunConfig, state: ClusterState | None = None) -> Prepared:
 
     t0 = time.perf_counter()
     batches = plan_batches(records, config.resolved_plan())
-    vectors_by_batch = [embed_records(config, list(b.records), provider) for b in batches]
+    vectors_by_batch = [embed_records(config, b.records, provider, stopwords) for b in batches]
     embed_s = load_s + time.perf_counter() - t0
     timings = {"ingest_s": ingest_s, "embed_s": embed_s}
     return Prepared(batches, vectors_by_batch, skipped, timings, embedding)
@@ -437,7 +429,7 @@ def _write_outputs(
     t0 = time.perf_counter()
 
     # metrics.csv: the plot-ready series whose defined terms S, R and C average
-    with (out_dir / "metrics.csv").open("w", newline="") as fh:
+    with (out_dir / "metrics.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["batch_index", "nr_clust", "silhouette_raw", "S_term", "R_term", "C_term"]
@@ -449,7 +441,7 @@ def _write_outputs(
             writer.writerow([row["index"], row["nr_clust"], *numbers])
 
     clusters.seek(0)
-    with (out_dir / "clusters.jsonl").open("w") as fh:
+    with (out_dir / "clusters.jsonl").open("w", encoding="utf-8") as fh:
         shutil.copyfileobj(clusters, fh)
 
     if state is not None:
@@ -599,7 +591,7 @@ def sweep(config: RunConfig, grid: dict[str, list]) -> list[dict]:
     rows.sort(key=lambda r: (r["status"] != "OK", -(r["lce"] if r["lce"] != "" else 0)))
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "sweep.csv").open("w", newline="") as fh:
+    with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["theta", "alpha", "gamma", "S", "R", "C", "lce", "status"]
         )

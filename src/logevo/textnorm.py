@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -17,18 +17,17 @@ _TOKEN_RE = re.compile(r"<TS>|<URL>|[A-Za-z0-9]+")
 _PLACEHOLDERS = {TS_TOKEN, URL_TOKEN}
 
 
-def stopwords_file(path: str | None = None):
-    """The stopword file at ``path``; None is the packaged list."""
-    if path is None:
-        return resources.files("logevo.data").joinpath("stopwords.txt")
-    return Path(path)
+def read_stopwords(path: str | None = None) -> tuple[frozenset[str], str]:
+    """The words of the stopword file at ``path``, None for the packaged list,
+    one a line, and the SHA-256 of the bytes they were read from."""
+    source = Path(path) if path is not None else resources.files("logevo.data") / "stopwords.txt"
+    data = source.read_bytes()
+    lines = data.decode("utf-8", errors="replace").splitlines()
+    return frozenset(w.strip() for w in lines if w.strip()), hashlib.sha256(data).hexdigest()
 
 
-@lru_cache(maxsize=None)
 def load_stopwords(path: str | None = None) -> frozenset[str]:
-    with stopwords_file(path).open(encoding="utf-8", errors="replace") as fh:
-        text = fh.read()
-    return frozenset(w.strip() for w in text.splitlines() if w.strip())
+    return read_stopwords(path)[0]
 
 
 def _undouble(tok: str) -> str:

@@ -529,6 +529,33 @@ def test_a_snapshot_records_its_embedding_and_resumes_from_a_copy_of_its_file(
                   output_dir="second"), state)
     resumed = json.loads((tmp_path / "second" / "state.json").read_text())["embedding"]
     assert resumed == dict(doc["embedding"], path="copy.vec")
+    # A precomputed file is recorded by the SHA-256 of its bytes too.
+    run(RunConfig(**config, provider={"kind": "precomputed", "path": "a.jsonl"}, output_dir="third"))
+    recorded = json.loads((tmp_path / "third" / "state.json").read_text())["embedding"]
+    assert recorded == dict(doc["embedding"], kind="precomputed", path="a.jsonl",
+                            sha256=hashlib.sha256((tmp_path / "a.jsonl").read_bytes()).hexdigest())
+
+
+def test_a_relative_stopword_path_is_read_where_each_run_runs(tmp_path, monkeypatch):
+    # Two runs in one process, each with "stop.txt" in its own directory: the
+    # second embeds with its own list, not with one kept from the first.
+    write_jsonl(tmp_path / "events.jsonl", make_evolution_jsonl(days=3, per_kind=4, seed=5))
+    for name, words in (("one", "the\n"), ("two", "alpha\nbeta\ndelta\nsigma\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "stop.txt").write_text(words)
+    config = dict(input=str(tmp_path / "events.jsonl"), format="jsonl", params={"theta": 0.3})
+    for name in ("one", "two"):
+        monkeypatch.chdir(tmp_path / name)
+        run(RunConfig(**config, stopwords_path="stop.txt", output_dir="out"))
+    absolute = str(tmp_path / "two" / "stop.txt")
+    run(RunConfig(**config, stopwords_path=absolute, output_dir=str(tmp_path / "absolute")))
+    second, same = tmp_path / "two" / "out", tmp_path / "absolute"
+    for name in ("metrics.csv", "clusters.jsonl"):
+        assert (second / name).read_bytes() == (same / name).read_bytes()
+    doc = json.loads((second / "state.json").read_text())
+    assert doc["embedding"]["stopwords"] == "stop.txt"
+    doc["embedding"]["stopwords"] = absolute
+    assert doc == json.loads((same / "state.json").read_text())
 
 
 def test_an_older_snapshot_without_an_embedding_resumes_with_the_dimension_check(tmp_path):
@@ -909,6 +936,23 @@ def test_a_run_imports_no_jsonschema(workspace):
     proc = subprocess.run([sys.executable, "-c", code, str(config_path)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
+def test_run_and_sweep_use_no_locale_encoding(workspace):
+    # Every file is read and written as UTF-8: with the warning for an open that
+    # takes the locale's encoding made an error, both commands still succeed.
+    tmp_path, config_path, _ = workspace
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"theta": [0.2, 0.3]}))
+    src = str(Path(pipeline.__file__).parents[1])
+    for command in (["run"], ["sweep", "--grid", str(grid_path)]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "logevo.cli", *command, "--config", str(config_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert {"metrics.csv", "clusters.jsonl", "sweep.csv"} <= set(os.listdir(tmp_path / "out"))
 
 
 def test_lowercase_algorithm_and_representative_are_folded(workspace):

@@ -1,5 +1,6 @@
 """Embedding providers."""
 
+import hashlib
 import os
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from logevo import embeddings
 from logevo.embeddings import (
     HashingProvider,
     _unit_rows,
@@ -25,10 +27,16 @@ def seq(*tokens, source_id="r0"):
 
 
 def _reads(monkeypatch):
-    """The bytes each os.pread returns from here on, in order."""
+    """The bytes each read of a file that the provider opens returns from here on, in order."""
     reads = []
-    pread = os.pread
-    monkeypatch.setattr(os, "pread", lambda fd, n, at: reads.append(pread(fd, n, at)) or reads[-1])
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        read = fh.read
+        fh.read = lambda n: reads.append(read(n)) or reads[-1]
+        return fh
+
+    monkeypatch.setattr(embeddings, "open", recording_open, raising=False)
     return reads
 
 
@@ -129,6 +137,13 @@ class TestWordAveraging:
         provider.embed([seq("a", "zz"), seq("a")])
         provider.embed([seq("zz", "a")])
         assert reads == [b"a 1 0\n"]
+
+    def test_a_word_is_read_without_os_pread(self, tmp_path, monkeypatch):
+        # Windows has no os.pread: a word's line is read with the handle's seek and read.
+        monkeypatch.delattr(os, "pread", raising=False)
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\nb 0 1\n")
+        np.testing.assert_array_equal(load_word_vectors(path).embed([seq("b")]), [[0.0, 1.0]])
 
     def test_a_new_word_reads_its_own_line_and_no_more(self, tmp_path, monkeypatch):
         # The rarer line ends of str.splitlines are whitespace within a line.
@@ -331,6 +346,11 @@ class TestPrecomputed:
         provider = load_precomputed(path)
         for rid, vec in table.items():
             np.testing.assert_allclose(provider.table[rid], vec, atol=1e-12)
+        # A "\r" before each "\n" is whitespace; the SHA-256 is that of the bytes read.
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        crlf = load_precomputed(path)
+        assert all(np.array_equal(crlf.table[rid], provider.table[rid]) for rid in table)
+        assert crlf.sha256 == hashlib.sha256(path.read_bytes()).hexdigest() != provider.sha256
 
     def test_repeated_id_keeps_the_first_vector(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -357,6 +377,9 @@ class TestPrecomputed:
             ('{"id": "r1", "vector": [[1.0], [0.0]]}', "the vector is not a list of numbers"),
             ('{"id": "r1", "vector": [1e308, 1e308]}', "the vector is not a list of numbers"),
             ('{"id": "r1", "vector": [1.0, 0.0, 0.0]}', "vector dimension 3 != 2"),
+            # A lone "\r" ends no line, as in a word-vectors file: this is one line.
+            ('{"id": "r1", "vector": [1.0, 0.0]}\r{"id": "r2", "vector": [0.0, 1.0]}',
+             "not an object with an id and a vector of numbers: Extra data"),
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line, detail):
